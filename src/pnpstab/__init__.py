@@ -53,6 +53,7 @@ from .stability import (
     check_theorem_bound,
     conjecture_trial,
     profile,
+    rho_on_grid,
     run_campaign,
     run_suite,
     slope_check,

@@ -16,7 +16,7 @@ import numpy as np
 from .generators import random_blur_kernel, random_mask
 from .matrices import read_matrix, validate_stochastic
 from .operators import build_deblur, build_inpainting, build_superres, kernel_denoiser, make_family
-from .pnp import InverseProblem, pgd_pnp_run, trace_to_csv
+from .pnp import InverseProblem, affine_map, pgd_pnp_run, trace_to_csv
 from .repro import EXAMPLE_IDS, repro, repro_all
 from .spectral import rho
 from .stability import (
@@ -176,7 +176,7 @@ def _cmd_pnp(args) -> int:
     problem = InverseProblem(A=op, b=op.A @ x_true, W=w, t=args.t)
     trace = pgd_pnp_run(problem, x0=np.zeros(n), max_iter=args.max_iter, tol=args.tol)
     trace_to_csv(trace, args.out)
-    radius = rho(w.matrix @ (np.eye(n) - args.t * (op.A.T @ op.A)))
+    radius = rho(affine_map(problem)[0])
     rate = "n/a" if trace.estimated_rate is None else f"{trace.estimated_rate:.6g}"
     print(
         f"{args.kind} n={n} t={args.t}: converged={trace.converged} "

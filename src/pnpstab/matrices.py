@@ -29,8 +29,6 @@ __all__ = [
     "as_matrix",
     "as_square_matrix",
     "ones_vector",
-    "ones_matrix",
-    "identity",
     "validate_stochastic",
     "structure",
     "left_perron_vector",
@@ -60,15 +58,6 @@ def as_square_matrix(entries) -> np.ndarray:
 def ones_vector(n: int) -> np.ndarray:
     """The all-ones vector e of length n."""
     return np.ones(n)
-
-
-def ones_matrix(n: int) -> np.ndarray:
-    """The all-ones n-by-n matrix."""
-    return np.ones((n, n))
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .spectral import solve_linear
 __all__ = [
     "InverseProblem",
     "IterationTrace",
+    "affine_map",
     "pgd_pnp_run",
     "fixed_point",
     "affine_iterate",
@@ -103,6 +104,16 @@ def _iterate(m, c, x0, max_iter, tol, x_star, loss=None):
     )
 
 
+def affine_map(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(P(t), c) of the PnP update x <- P(t) x + c, with P(t) = W (I - t A^T A)
+    and c = t W A^T b."""
+    a = problem.A.A
+    w = problem.W.matrix
+    p = w @ (np.eye(problem.W.n) - problem.t * gram(problem.A))
+    c = problem.t * (w @ (a.T @ problem.b))
+    return p, c
+
+
 def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 1e-10) -> IterationTrace:
     """Iterate x <- P(t) x + t W A^T b from x0.
 
@@ -111,19 +122,14 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
     error. Error norms are measured against the affine fixed point when
     I - P(t) is invertible.
     """
-    a = problem.A.A
-    w = problem.W.matrix
-    t = problem.t
-    n = problem.W.n
-    p = w @ (np.eye(n) - t * gram(problem.A))
-    c = t * (w @ (a.T @ problem.b))
+    p, c = affine_map(problem)
     try:
-        x_star = solve_linear(np.eye(n) - p, c)
+        x_star = solve_linear(np.eye(problem.W.n) - p, c)
     except SingularMatrixError:
         x_star = None
 
     def loss(x):
-        r = a @ x - problem.b
+        r = problem.A.A @ x - problem.b
         return 0.5 * float(r @ r)
 
     return _iterate(p, c, x0, max_iter, tol, x_star, loss=loss)
@@ -131,12 +137,8 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
 
 def fixed_point(problem: InverseProblem) -> np.ndarray:
     """Solve (I - P(t)) x = t W A^T b; the limit of the iteration when stable."""
-    a = problem.A.A
-    w = problem.W.matrix
-    n = problem.W.n
-    p = w @ (np.eye(n) - problem.t * gram(problem.A))
-    c = problem.t * (w @ (a.T @ problem.b))
-    return solve_linear(np.eye(n) - p, c)
+    p, c = affine_map(problem)
+    return solve_linear(np.eye(problem.W.n) - p, c)
 
 
 def affine_iterate(m, c, x0, max_iter: int = 1000, tol: float = 1e-10) -> IterationTrace:

@@ -24,8 +24,8 @@ from .operators import (
     make_family,
     predicted_slope,
 )
-from .spectral import eigenvalues, rho
-from .stability import profile, profile_to_csv, stability_threshold
+from .spectral import eigenvalues
+from .stability import profile, profile_to_csv, rho_on_grid, stability_threshold
 
 __all__ = ["EXAMPLE_IDS", "CheckResult", "ReproReport", "example_family", "repro", "repro_all"]
 
@@ -161,8 +161,8 @@ def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
     elif example == "remark_1_6":
         checks.append(_value_check("piTBe", lambda: -predicted_slope(family), float(Fraction(-1, 30)), 1e-12))
         ts = _interior_grid(0.0, 0.5, 51)[:-1]  # 50 points strictly inside (0, 0.5)
-        checks.append(_bool_check("rho_P>1_on_(0,0.5)", lambda: min(rho(P_of(family, t)) for t in ts) > 1.0))
-        checks.append(_bool_check("rho_R>1_on_(0,0.5)", lambda: min(rho(R_of(family, t)) for t in ts) > 1.0))
+        checks.append(_bool_check("rho_P>1_on_(0,0.5)", lambda: rho_on_grid(family, "P", ts).min() > 1.0))
+        checks.append(_bool_check("rho_R>1_on_(0,0.5)", lambda: rho_on_grid(family, "R", ts).min() > 1.0))
     elif example == "remark_1_7":
         checks.append(_value_check("rho_B", lambda: family.rho_B, 1.0, 1e-10))
         checks.append(
@@ -174,7 +174,7 @@ def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
             )
         )
         ts = _interior_grid(2.0, 3.0, 25)
-        checks.append(_bool_check("rho_R<1_on_(2,3]", lambda: max(rho(R_of(family, t)) for t in ts) < 1.0))
+        checks.append(_bool_check("rho_R<1_on_(2,3]", lambda: rho_on_grid(family, "R", ts).max() < 1.0))
     elif example == "example_1_13":
         checks.append(_value_check("2/rho_B", lambda: 2.0 / family.rho_B, 3.9936, 1e-3))
         checks.append(
@@ -184,7 +184,7 @@ def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
         checks.append(_value_check("(Be)_2", lambda: be[1], 0.52, 1e-12))
         checks.append(_bool_check("(Be)_2>rho_B", lambda: be[1] > family.rho_B))
         ts = np.linspace(3.87, 3.99, 20)
-        checks.append(_bool_check("rho_P>1_on_[3.87,3.99]", lambda: min(rho(P_of(family, t)) for t in ts) > 1.0))
+        checks.append(_bool_check("rho_P>1_on_[3.87,3.99]", lambda: rho_on_grid(family, "P", ts).min() > 1.0))
     elif example in ("example_1_14_B1", "example_1_14_B2"):
         expected_t = 4.777 if example.endswith("B1") else 11.904
         expected_bound = float(Fraction(2, 3)) if example.endswith("B1") else 4.5308

@@ -21,9 +21,11 @@ __all__ = [
     "eigenvalues",
     "spectral_radius",
     "rho",
+    "rho_stack",
     "symmetric_eigenvalues",
     "spectral_norm",
     "solve_linear",
+    "solve_stack",
     "shifted_inverse_norm",
 ]
 
@@ -32,14 +34,9 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues of a real square matrix, sorted by (re, im).
-
-    `residual_bound` is a diagnostic backward-error scale of order
-    n * eps * ||M||; the values themselves come from the QR algorithm.
-    """
+    """All eigenvalues of a real square matrix, sorted by (re, im)."""
 
     values: np.ndarray
-    residual_bound: float
 
     @property
     def size(self) -> int:
@@ -63,8 +60,7 @@ def eigenvalues(m) -> Spectrum:
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vals.setflags(write=False)
-    bound = 10.0 * a.shape[0] * _EPS * float(np.linalg.norm(a, "fro"))
-    return Spectrum(values=vals, residual_bound=bound)
+    return Spectrum(values=vals)
 
 
 def spectral_radius(m) -> SpectralSummary:
@@ -97,6 +93,27 @@ def rho(m) -> float:
         raise NoConvergenceError(iterations=-1, residual=float("nan")) from exc
 
 
+def rho_stack(stack: np.ndarray) -> np.ndarray:
+    """Spectral radius of every matrix of an (m, n, n) stack, NaN where the
+    eigensolver fails.
+
+    One stacked LAPACK call covers the stack; each value is bitwise the one
+    `rho` gives for that slice. If the stacked call fails, the slices are
+    retried one by one, so only the failing ones become NaN and non-finite
+    entries raise ValueError as `rho` does.
+    """
+    try:
+        return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    except np.linalg.LinAlgError:
+        radii = np.empty(len(stack))
+        for k, m in enumerate(stack):
+            try:
+                radii[k] = rho(m)
+            except NoConvergenceError:
+                radii[k] = np.nan
+        return radii
+
+
 def symmetric_eigenvalues(s, sym_tol: float = 1e-9) -> np.ndarray:
     """Ascending real eigenvalues of a symmetric matrix."""
     a = as_square_matrix(s)
@@ -116,10 +133,13 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _small_pivots(lu: np.ndarray, scale) -> np.ndarray:
+    # Mask of the U pivots at or below 1e-13 * ||A||_inf, for one LU or a stack.
+    return np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= 1e-13 * np.asarray(scale)[..., None]
+
+
 def _check_pivots(lu: np.ndarray, scale: float) -> None:
-    pivots = np.abs(np.diag(lu))
-    threshold = 1e-13 * scale
-    small = np.flatnonzero(pivots <= threshold)
+    small = np.flatnonzero(_small_pivots(lu, scale))
     if small.size:
         raise SingularMatrixError(int(small[0]))
 
@@ -142,6 +162,29 @@ def solve_linear(a, b) -> np.ndarray:
         raise SingularMatrixError(0) from exc
     _check_pivots(lu, scale)
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A_k X = b for every matrix A_k of an (m, n, n) stack.
+
+    Returns `(x, ok)`: `ok` masks the slices that pass the pivot test of
+    `solve_linear`, and `x` stacks their solutions in order. Each slice
+    goes through the LAPACK getrf/getrs pair behind `solve_linear`, so its
+    solution is bitwise the one `solve_linear(a[k], b)` returns; calling
+    them directly skips scipy's per-call checks and batch bookkeeping.
+    """
+    scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a,))
+    lu = np.empty_like(a)
+    x = np.empty(a.shape[:1] + np.shape(b))
+    for k in range(len(a)):
+        # A zero pivot (getrf info > 0) fails the pivot test below; getrs
+        # then only fills the dropped slice with non-finite values.
+        factor, piv, _ = getrf(a[k])
+        lu[k] = factor
+        x[k] = getrs(factor, piv, b)[0]
+    ok = ~_small_pivots(lu, scale).any(axis=-1)
+    return x[ok], ok
 
 
 def shifted_inverse_norm(b, t: float, lam: complex) -> float:

@@ -38,8 +38,6 @@ from .generators import (
 from .matrices import is_positive_semidefinite, structure, validate_stochastic
 from .operators import (
     OperatorFamily,
-    P_of,
-    R_of,
     alpha_beta_B,
     build_deblur,
     build_superres,
@@ -50,7 +48,7 @@ from .operators import (
     make_family,
     predicted_slope,
 )
-from .spectral import rho
+from .spectral import rho_stack, solve_stack
 
 __all__ = [
     "StabilityProfile",
@@ -60,6 +58,7 @@ __all__ = [
     "ConjectureTrialResult",
     "CampaignSummary",
     "SuiteInstanceResult",
+    "rho_on_grid",
     "profile",
     "profile_to_csv",
     "stability_threshold",
@@ -80,13 +79,72 @@ GENERATORS = ("imaging", "general_psd")
 _VIOLATION_SLACK = 1e-12
 _SUITE_SLACK = 1e-10
 
+# Float64 entries of one stacked block of P(t) or R(t) matrices (256 KiB).
+# At n >= 182 a block is a single matrix, so large families keep the memory
+# of one point and a scan stops at the first block holding a crossing.
+_BLOCK_ENTRIES = 2**15
 
-def _rho_at(family: OperatorFamily, which: str, t: float) -> float:
+
+def _block_points(n: int) -> int:
+    return max(1, _BLOCK_ENTRIES // (n * n))
+
+
+def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
+    """rho(P(t)) or rho(R(t)) at every t of a 1-D grid.
+
+    Each value is bitwise the spectral radius that `spectral.rho` gives
+    for `P_of(family, t)` or `R_of(family, t)`. inf marks a singular shift
+    I + tB (R only) and NaN an eigensolver failure. The grid is evaluated
+    in blocks of at most `_BLOCK_ENTRIES` stacked entries, with one
+    stacked eigensolve per block.
+    """
+    if which not in ("P", "R"):
+        raise ValueError(f"which must be 'P' or 'R', got {which!r}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts)) or (which == "R" and np.any(ts < 0.0)):
+        raise ValueError("t must be finite, and nonnegative for R")
+    radii = np.empty(ts.size)
+    step = _block_points(family.n)
+    for lo in range(0, ts.size, step):
+        radii[lo : lo + step] = _block_rho(family, which, ts[lo : lo + step])
+    return radii
+
+
+def _block_rho(family: OperatorFamily, which: str, ts: np.ndarray) -> np.ndarray:
+    # Same operations as P_of / R_of, applied to the stack of all t at once.
+    w = family.W.matrix
+    eye = np.eye(family.n)
+    tb = ts[:, None, None] * family.B
     if which == "P":
-        return rho(P_of(family, t))
-    if which == "R":
-        return rho(R_of(family, t))
-    raise ValueError(f"which must be 'P' or 'R', got {which!r}")
+        return rho_stack(w @ (eye - tb))
+    x, ok = solve_stack(eye + tb, 2.0 * w - eye)
+    radii = np.full(ts.size, np.inf)
+    radii[ok] = rho_stack(eye - w + x)
+    return radii
+
+
+def _first_unstable(family: OperatorFamily, ts: np.ndarray, limit: float, whiches: tuple[str, ...]):
+    """First (k, which, rho) in grid order with rho >= limit, or None.
+
+    At each t the operators are tried in the order of `whiches`; a singular
+    shift counts as rho = inf. Blocks are evaluated lazily, so nothing past
+    the block holding the first crossing is computed. An eigensolver
+    failure met before any crossing raises NoConvergenceError.
+    """
+    step = _block_points(family.n)
+    for lo in range(0, ts.size, step):
+        block = ts[lo : lo + step]
+        radii = np.column_stack([rho_on_grid(family, which, block) for which in whiches]).ravel()
+        bad = np.flatnonzero(~(radii < limit))
+        if bad.size:
+            r = float(radii[bad[0]])
+            if math.isnan(r):
+                raise NoConvergenceError(iterations=-1, residual=float("nan"))
+            k, j = divmod(int(bad[0]), len(whiches))
+            return lo + k, whiches[j], r
+    return None
 
 
 @dataclass(frozen=True)
@@ -110,17 +168,9 @@ def profile(family: OperatorFamily, t_min: float, t_max: float, steps: int) -> S
     if steps < 2:
         raise InvalidGridError("need steps >= 2")
     grid = np.linspace(t_min, t_max, steps)
-    rho_p = np.empty(steps)
-    rho_r = np.empty(steps)
-    for i, t in enumerate(grid):
-        try:
-            rho_p[i] = _rho_at(family, "P", float(t))
-        except NoConvergenceError:
-            rho_p[i] = np.nan
-        try:
-            rho_r[i] = _rho_at(family, "R", float(t))
-        except (SingularShiftError, NoConvergenceError):
-            rho_r[i] = np.nan
+    rho_p = rho_on_grid(family, "P", grid)
+    rho_r = rho_on_grid(family, "R", grid)
+    rho_r[np.isinf(rho_r)] = np.nan
     return StabilityProfile(family_labels=family.labels, grid=grid, rho_P=rho_p, rho_R=rho_r)
 
 
@@ -170,14 +220,6 @@ class ThresholdReport:
         }
 
 
-def _rho_or_inf(family: OperatorFamily, which: str, t: float) -> float:
-    # A singular shift inside a threshold scan counts as loss of stability.
-    try:
-        return _rho_at(family, which, t)
-    except SingularShiftError:
-        return float("inf")
-
-
 def stability_threshold(
     family: OperatorFamily,
     which: str,
@@ -210,17 +252,20 @@ def stability_threshold(
             eps0=eps0,
         )
 
-    if _rho_or_inf(family, which, eps0) >= 1.0:
+    def crossed(t: float) -> bool:
+        return _first_unstable(family, np.array([t]), 1.0, (which,)) is not None
+
+    if crossed(eps0):
         return report("unstable_from_start")
     prev = eps0
     t = eps0 + grid_step
     edge = scan_max * (1.0 + 1e-12)
     while t <= edge:
-        if _rho_or_inf(family, which, t) >= 1.0:
+        if crossed(t):
             lo, hi = prev, t
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
-                if _rho_or_inf(family, which, mid) >= 1.0:
+                if crossed(mid):
                     hi = mid
                 else:
                     lo = mid
@@ -239,6 +284,11 @@ class TheoremCheckReport:
     passed: bool
     violation: tuple[float, float] | None
     hypotheses_enforced: bool
+
+
+def _open_grid(upper: float, points: int) -> np.ndarray:
+    # t_k = upper * k / (points + 1), k = 1..points: evenly spaced inside (0, upper).
+    return upper * np.arange(1, points + 1) / (points + 1)
 
 
 def _require(condition: bool, details: str) -> None:
@@ -315,26 +365,15 @@ def check_theorem_bound(
     if family.rho_B <= 0.0:
         raise HypothesesUnmetError("rho(B) = 0; the interval (0, 2/rho(B)) is empty")
     upper = 2.0 / family.rho_B
-    for k in range(1, grid_steps + 1):
-        t = upper * k / (grid_steps + 1)
-        r = _rho_or_inf(family, which, t)
-        if r >= 1.0 - slack:
-            return TheoremCheckReport(
-                theorem=theorem,
-                which=which,
-                grid_points=grid_steps,
-                upper=upper,
-                passed=False,
-                violation=(t, r),
-                hypotheses_enforced=enforce_hypotheses,
-            )
+    ts = _open_grid(upper, grid_steps)
+    crossing = _first_unstable(family, ts, 1.0 - slack, (which,))
     return TheoremCheckReport(
         theorem=theorem,
         which=which,
         grid_points=grid_steps,
         upper=upper,
-        passed=True,
-        violation=None,
+        passed=crossing is None,
+        violation=None if crossing is None else (float(ts[crossing[0]]), crossing[2]),
         hypotheses_enforced=enforce_hypotheses,
     )
 
@@ -353,7 +392,12 @@ def slope_check(family: OperatorFamily, which: str, h: float = 1e-5) -> SlopeChe
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    fd = (_rho_at(family, which, h) - 1.0) / h
+    r = float(rho_on_grid(family, which, [h])[0])
+    if math.isnan(r):
+        raise NoConvergenceError(iterations=-1, residual=float("nan"))
+    if math.isinf(r):
+        raise SingularShiftError(h)
+    fd = (r - 1.0) / h
     predicted = predicted_slope(family)
     return SlopeCheck(fd_slope=fd, predicted=predicted, abs_error=abs(fd - predicted))
 
@@ -402,14 +446,12 @@ def evaluate_conjecture_family(
     hyp = conjecture_hypotheses(family)
     if not hyp.all_met():
         return hyp, "hypotheses_unmet", None
-    upper = 2.0 / family.rho_B
-    for k in range(1, grid_points + 1):
-        t = upper * k / (grid_points + 1)
-        for which in ("P", "R"):
-            r = _rho_or_inf(family, which, t)
-            if r >= 1.0 - slack:
-                return hyp, "violation", (t, r, which)
-    return hyp, "pass", None
+    ts = _open_grid(2.0 / family.rho_B, grid_points)
+    crossing = _first_unstable(family, ts, 1.0 - slack, ("P", "R"))
+    if crossing is None:
+        return hyp, "pass", None
+    k, which, r = crossing
+    return hyp, "violation", (float(ts[k]), r, which)
 
 
 def _imaging_instance(rng: np.random.Generator, n: int) -> OperatorFamily:

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from pnpstab.errors import HypothesesUnmetError, InvalidGridError
+from pnpstab import stability
+from pnpstab.errors import HypothesesUnmetError, InvalidGridError, NoConvergenceError, SingularShiftError
 from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
 from pnpstab.operators import P_of, R_of, build_deblur, build_inpainting, gram, make_family
+from pnpstab.repro import EXAMPLE_IDS, example_family
 from pnpstab.spectral import rho
 from pnpstab.stability import (
     check_theorem_bound,
@@ -15,6 +17,7 @@ from pnpstab.stability import (
     evaluate_conjecture_family,
     profile,
     profile_to_csv,
+    rho_on_grid,
     run_campaign,
     run_suite,
     slope_check,
@@ -40,6 +43,129 @@ def subsampled_family():
     h = np.array([[0.48, 0.52], [0.52, 0.48]])
     sh = h[:1, :]
     return make_family(validate_stochastic(np.array([[0.0, 1.0], [0.5, 0.5]])), sh.T @ sh)
+
+
+# -- rho_on_grid against the per-point path -------------------------------------
+
+
+def per_point_rho(family, which, ts):
+    """The per-point reference: one operator build and one eigensolve per t."""
+    build = P_of if which == "P" else R_of
+    out = []
+    for t in ts:
+        try:
+            out.append(rho(build(family, float(t))))
+        except SingularShiftError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+def interior_grid(family, points=256):
+    return 2.0 / family.rho_B * np.arange(1, points + 1) / (points + 1)
+
+
+def assert_bitwise_equal_to_per_point(family, ts):
+    for which in ("P", "R"):
+        got = rho_on_grid(family, which, ts)
+        assert np.array_equal(got, per_point_rho(family, which, ts)), which
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rho_on_grid_is_bitwise_per_point_on_imaging_families(seed):
+    rng = np.random.default_rng(seed)
+    family = stability._imaging_instance(rng, int(rng.integers(2, 9)))
+    assert_bitwise_equal_to_per_point(family, interior_grid(family))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rho_on_grid_is_bitwise_per_point_on_general_psd_families(seed):
+    rng = np.random.default_rng(seed)
+    family = stability._general_psd_instance(rng, int(rng.integers(2, 9)))
+    assert_bitwise_equal_to_per_point(family, interior_grid(family))
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_rho_on_grid_is_bitwise_per_point_on_examples(example):
+    assert_bitwise_equal_to_per_point(example_family(example), np.linspace(0.0, 20.0, 401))
+
+
+def test_rho_on_grid_spans_several_blocks():
+    family = stability._imaging_instance(np.random.default_rng(5), 12)
+    ts = interior_grid(family)
+    assert ts.size > stability._block_points(family.n)
+    assert_bitwise_equal_to_per_point(family, ts)
+
+
+def test_rho_on_grid_single_point():
+    family = blur_family()
+    assert_bitwise_equal_to_per_point(family, np.array([0.75]))
+
+
+def test_rho_on_grid_singular_shift_is_inf_at_that_slice_only():
+    family = make_family(validate_stochastic(W_BLUR), -np.eye(2))
+    ts = np.array([0.5, 1.0, 1.5])  # I + tB = (1 - t) I vanishes at t = 1
+    got = rho_on_grid(family, "R", ts)
+    assert got[1] == math.inf
+    assert np.all(np.isfinite(got[[0, 2]]))
+    assert_bitwise_equal_to_per_point(family, ts)
+    assert rho_on_grid(family, "R", [1.0])[0] == math.inf  # a block with no solvable slice
+
+
+def test_rho_on_grid_rejects_bad_input():
+    family = blur_family()
+    with pytest.raises(ValueError):
+        rho_on_grid(family, "Q", [0.5])
+    with pytest.raises(ValueError):
+        rho_on_grid(family, "P", [0.5, math.nan])
+    with pytest.raises(ValueError):
+        rho_on_grid(family, "R", [-0.5])
+    with pytest.raises(ValueError):
+        rho_on_grid(family, "P", [[0.5]])
+
+
+def test_rho_on_grid_falls_back_per_point_when_the_stacked_eigensolve_fails(monkeypatch):
+    family = stability._imaging_instance(np.random.default_rng(2), 6)
+    ts = interior_grid(family, 40)
+    want = {which: per_point_rho(family, which, ts) for which in ("P", "R")}
+    real_eigvals = np.linalg.eigvals
+
+    def stack_fails(a):
+        if np.ndim(a) > 2:
+            raise np.linalg.LinAlgError("stacked eigensolve did not converge")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", stack_fails)
+    for which in ("P", "R"):
+        assert np.array_equal(rho_on_grid(family, which, ts), want[which])
+
+
+def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch):
+    family = blur_family()
+    real_eigvals = np.linalg.eigvals
+    at_one = [P_of(family, 1.0), R_of(family, 1.0)]
+
+    def fails_at_t_one(a):
+        if np.ndim(a) > 2 or any(np.array_equal(a, m) for m in at_one):
+            raise np.linalg.LinAlgError("no convergence")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails_at_t_one)
+    prof = profile(family, 0.25, 2.5, 4)  # grid 0.25, 1.0, 1.75, 2.5
+    for radii in (prof.rho_P, prof.rho_R):
+        assert math.isnan(radii[1])
+        assert np.all(np.isfinite(radii[[0, 2, 3]]))
+
+    def always_fails(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", always_fails)
+    assert np.all(np.isnan(rho_on_grid(family, "R", [0.5, 1.0])))
+    with pytest.raises(NoConvergenceError):
+        stability_threshold(family, "P", scan_max=3.0)
+    with pytest.raises(NoConvergenceError):
+        check_theorem_bound(family, "P", "conjecture", enforce_hypotheses=False)
+    with pytest.raises(NoConvergenceError):
+        slope_check(family, "R")
 
 
 # -- profiles -----------------------------------------------------------------
