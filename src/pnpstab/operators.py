@@ -112,13 +112,7 @@ class ConjectureHypotheses:
         return self.w_primitive and self.b_psd and self.be_bounded_by_rho and self.pibe_positive
 
 
-def make_family(
-    w: StochasticMatrix,
-    b,
-    labels: tuple[str, ...] = (),
-    perron_tol: float = 1e-13,
-    perron_max_iter: int = 50_000,
-) -> OperatorFamily:
+def make_family(w: StochasticMatrix, b, labels: tuple[str, ...] = ()) -> OperatorFamily:
     """Bundle (W, B) with Perron data and cached rho(B).
 
     W must be irreducible (checked while computing the Perron vector);
@@ -127,7 +121,7 @@ def make_family(
     b = as_square_matrix(b)
     if b.shape[0] != w.n:
         raise DimensionMismatchError(f"W is {w.n}x{w.n} but B is {b.shape[0]}x{b.shape[1]}")
-    perron = left_perron_vector(w, tol=perron_tol, max_iter=perron_max_iter)
+    perron = left_perron_vector(w)
     if np.max(np.abs(b - b.T)) <= _SYM_TOL:
         rho_b = float(np.max(np.abs(symmetric_eigenvalues(b))))
     else:

@@ -19,6 +19,7 @@ from pnpstab.matrices import (
     validate_stochastic,
     write_matrix,
 )
+from pnpstab.operators import kernel_denoiser, make_family
 
 
 def test_accepts_permutation_matrix():
@@ -130,12 +131,24 @@ def _oracle_primitive(adj, n):
     return abs(period) == 1
 
 
+def _primitive_by_powers(pattern, n):
+    # Definition: some power up to the Wielandt bound (n-1)^2 + 1 is positive.
+    a = pattern.astype(np.int64)
+    power = a
+    for _ in range((n - 1) ** 2 + 1):
+        if power.all():
+            return True
+        power = (power @ a > 0).astype(np.int64)
+    return False
+
+
 def _pattern_agrees_with_oracle(pattern, n):
     w = validate_stochastic(pattern / pattern.sum(axis=1, keepdims=True))
     info = structure(w)
     adj = pattern.astype(bool).tolist()
     assert info.irreducible == _oracle_irreducible(adj, n)
     assert info.primitive == _oracle_primitive(adj, n)
+    assert info.primitive == _primitive_by_powers(pattern, n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -149,6 +162,37 @@ def test_structure_matches_graph_oracle_exhaustively_4x4():
     row_choices = [c for c in itertools.product([0.0, 1.0], repeat=4) if any(c)]
     for rows in itertools.product(row_choices, repeat=4):
         _pattern_agrees_with_oracle(np.array(rows), 4)
+
+
+@pytest.mark.parametrize("n", [255, 256, 512])
+def test_positive_w_is_primitive_past_255(n):
+    # Path counts of a positive n x n pattern exceed 255 from n = 256 on.
+    signal = np.random.default_rng(n).uniform(0.0, 1.0, size=n)
+    for w in (validate_stochastic(np.ones((n, n)) / n), kernel_denoiser(signal, bandwidth=0.5)):
+        info = structure(w)
+        assert info.irreducible and info.primitive
+        assert make_family(w, np.eye(n)).perron.pi.min() > 0
+
+
+def _long_cycle(n, chord=False, cut=False):
+    # Directed n-cycle i -> i+1; `chord` adds 0 -> 2, `cut` turns n-1 -> 0 into a self-loop.
+    m = np.roll(np.eye(n), 1, axis=1)
+    if chord:
+        m[0, 2] = 1.0
+    if cut:
+        m[n - 1] = 0.0
+        m[n - 1, n - 1] = 1.0
+    return validate_stochastic(m / m.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize(
+    "kwargs, irreducible, primitive",
+    [({}, True, False), ({"chord": True}, True, True), ({"cut": True}, False, False)],
+    ids=["cycle", "cycle_plus_chord", "cycle_cut"],
+)
+def test_structure_of_long_cycles(kwargs, irreducible, primitive):
+    info = structure(_long_cycle(1000, **kwargs))
+    assert (info.irreducible, info.primitive) == (irreducible, primitive)
 
 
 # -- Perron vectors ----------------------------------------------------------
