@@ -28,7 +28,6 @@ __all__ = [
     "StructureReport",
     "as_matrix",
     "as_square_matrix",
-    "ones_vector",
     "validate_stochastic",
     "structure",
     "left_perron_vector",
@@ -53,11 +52,6 @@ def as_square_matrix(entries) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def ones_vector(n: int) -> np.ndarray:
-    """The all-ones vector e of length n."""
-    return np.ones(n)
 
 
 @dataclass(frozen=True)
@@ -136,14 +130,13 @@ def _bfs_levels(pattern: np.ndarray) -> np.ndarray:
     return level
 
 
-def _graph_class(pattern: np.ndarray) -> tuple[bool, bool]:
-    """(irreducible, primitive) for the directed graph of a square 0/1 pattern."""
+def _irreducible_levels(pattern: np.ndarray) -> np.ndarray | None:
+    """Forward BFS levels of an irreducible square 0/1 pattern, None when it
+    is reducible: node 0 must reach, and be reached from, every node."""
     level = _bfs_levels(pattern)
     if level.min() < 0 or _bfs_levels(pattern.T).min() < 0:
-        return False, False
-    # Period of a strongly connected graph (Denardo, Math. Oper. Res. 1977).
-    u, v = np.nonzero(pattern)
-    return True, bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
+        return None
+    return level
 
 
 def structure(w: StochasticMatrix) -> StructureReport:
@@ -156,17 +149,23 @@ def structure(w: StochasticMatrix) -> StructureReport:
     two BFS passes, O(n^2) for an n x n pattern, and no matrix product.
     """
     m = w.matrix
-    irreducible, primitive = _graph_class(m > 0.0)
+    pattern = m > 0.0
+    level = _irreducible_levels(pattern)
+    primitive = False
+    if level is not None:
+        # Period of a strongly connected graph (Denardo, Math. Oper. Res. 1977).
+        u, v = np.nonzero(pattern)
+        primitive = bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
     doubly = bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= w.tol))
-    symmetric = bool(np.max(np.abs(m - m.T)) <= w.tol)
-    psd: bool | None = None
-    if symmetric:
-        psd = bool(np.linalg.eigvalsh((m + m.T) / 2.0).min() >= -w.tol)
+    try:
+        psd: bool | None = bool(_symmetric_eigvals(m, w.tol).min() >= -w.tol)
+    except NotSymmetricError:
+        psd = None
     return StructureReport(
-        irreducible=irreducible,
+        irreducible=level is not None,
         primitive=primitive,
         doubly_stochastic=doubly,
-        symmetric=symmetric,
+        symmetric=psd is not None,
         psd=psd,
     )
 
@@ -196,7 +195,7 @@ def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13, max_iter: int = 
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = w.matrix
-    if not _graph_class(m > 0.0)[0]:
+    if _irreducible_levels(m > 0.0) is None:
         raise NotIrreducibleError("nonzero pattern is not strongly connected")
     n = w.n
     pi = np.full(n, 1.0 / n)
@@ -225,18 +224,30 @@ def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13, max_iter: int = 
     return PerronData(pi=pi, residual=residual, iterations=iterations)
 
 
+def _symmetric_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending eigenvalues of (M + M^T)/2; NotSymmetricError when
+    max |M - M^T| exceeds tol."""
+    asym = float(np.max(np.abs(m - m.T)))
+    if asym > tol:
+        raise NotSymmetricError(asym)
+    return np.linalg.eigvalsh((m + m.T) / 2.0)
+
+
 def is_positive_semidefinite(b, tol: float = 1e-10) -> bool:
     """True iff the symmetrized matrix has minimum eigenvalue >= -tol.
 
     The input must be symmetric to within tol; it is symmetrized as
     (B + B^T)/2 before the eigenvalue test.
     """
-    m = as_square_matrix(b)
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > tol:
-        raise NotSymmetricError(asym)
-    s = (m + m.T) / 2.0
-    return bool(np.linalg.eigvalsh(s).min() >= -tol)
+    return bool(_symmetric_eigvals(as_square_matrix(b), tol).min() >= -tol)
+
+
+def _is_psd(b, tol: float) -> bool:
+    # is_positive_semidefinite, reading an asymmetric matrix as not PSD.
+    try:
+        return is_positive_semidefinite(b, tol)
+    except NotSymmetricError:
+        return False
 
 
 def read_matrix(path) -> np.ndarray:

@@ -25,23 +25,21 @@ from .errors import (
     DimensionMismatchError,
     EmptySelectionError,
     NotSymmetricError,
-    SingularMatrixError,
     SingularShiftError,
     ZeroKernelError,
 )
 from .matrices import (
     PerronData,
     StochasticMatrix,
+    _is_psd,
     as_square_matrix,
-    is_positive_semidefinite,
     left_perron_vector,
-    ones_vector,
     read_matrix,
     structure,
     validate_stochastic,
     write_matrix,
 )
-from .spectral import rho, solve_linear, symmetric_eigenvalues
+from .spectral import rho, solve_stack, symmetric_eigenvalues
 
 __all__ = [
     "OperatorFamily",
@@ -50,6 +48,8 @@ __all__ = [
     "make_family",
     "P_of",
     "R_of",
+    "P_stack",
+    "R_stack",
     "derivative_at_zero",
     "predicted_slope",
     "build_inpainting",
@@ -66,7 +66,6 @@ __all__ = [
     "load_family",
 ]
 
-_SYM_TOL = 1e-9
 _HYP_TOL = 1e-10
 
 
@@ -122,35 +121,46 @@ def make_family(w: StochasticMatrix, b, labels: tuple[str, ...] = ()) -> Operato
     if b.shape[0] != w.n:
         raise DimensionMismatchError(f"W is {w.n}x{w.n} but B is {b.shape[0]}x{b.shape[1]}")
     perron = left_perron_vector(w)
-    if np.max(np.abs(b - b.T)) <= _SYM_TOL:
+    try:
         rho_b = float(np.max(np.abs(symmetric_eigenvalues(b))))
-    else:
+    except NotSymmetricError:
         rho_b = rho(b)
     b = b.copy()
     b.setflags(write=False)
     return OperatorFamily(W=w, B=b, perron=perron, rho_B=rho_b, labels=tuple(labels))
 
 
+def P_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """P(t) = W (I - t B) for every t of a 1-D array, as an (m, n, n) stack."""
+    return w @ (np.eye(len(w)) - ts[:, None, None] * b)
+
+
+def R_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) = I - W + (I + t B)^{-1} (2 W - I) for every t of a 1-D array.
+
+    Returns `(r, ok)` as `spectral.solve_stack` does: `ok` masks the t where
+    I + t B passes the pivot test, and `r` stacks R(t) at those t in order.
+    """
+    eye = np.eye(len(w))
+    x, ok = solve_stack(eye + ts[:, None, None] * b, 2.0 * w - eye)
+    return eye - w + x, ok
+
+
 def P_of(family: OperatorFamily, t: float) -> np.ndarray:
-    """P(t) = W (I - t B)."""
+    """P(t) = W (I - t B): the one-point case of `P_stack`."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    n = family.n
-    return family.W.matrix @ (np.eye(n) - t * family.B)
+    return P_stack(family.W.matrix, family.B, np.array([t], dtype=float))[0]
 
 
 def R_of(family: OperatorFamily, t: float) -> np.ndarray:
-    """R(t) = I - W + (I + t B)^{-1} (2 W - I), via a right-solve."""
+    """R(t) = I - W + (I + t B)^{-1} (2 W - I): the one-point case of `R_stack`."""
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and nonnegative")
-    n = family.n
-    w = family.W.matrix
-    shift = np.eye(n) + t * family.B
-    try:
-        x = solve_linear(shift, 2.0 * w - np.eye(n))
-    except SingularMatrixError as exc:
-        raise SingularShiftError(t) from exc
-    return np.eye(n) - w + x
+    r, ok = R_stack(family.W.matrix, family.B, np.array([t], dtype=float))
+    if not ok[0]:
+        raise SingularShiftError(t)
+    return r[0]
 
 
 def derivative_at_zero(family: OperatorFamily, which: str) -> np.ndarray:
@@ -165,7 +175,7 @@ def derivative_at_zero(family: OperatorFamily, which: str) -> np.ndarray:
 
 def predicted_slope(family: OperatorFamily) -> float:
     """Slope of t -> rho at t = 0 for both families: -pi^T B e."""
-    return float(-(family.perron.pi @ family.B @ ones_vector(family.n)))
+    return float(-(family.perron.pi @ family.B @ np.ones(family.n)))
 
 
 def build_inpainting(mask) -> ForwardOperator:
@@ -264,16 +274,12 @@ def kernel_denoiser(signal, bandwidth: float, spatial_sigma: float | None = None
 
 def conjecture_hypotheses(family: OperatorFamily) -> ConjectureHypotheses:
     """Evaluate the conjecture's hypotheses with tolerance 1e-10."""
-    be = family.B @ ones_vector(family.n)
+    be = family.B @ np.ones(family.n)
     pibe = float(family.perron.pi @ be)
     margin = float(np.min(family.rho_B - be))
-    try:
-        psd = is_positive_semidefinite(family.B, tol=_HYP_TOL)
-    except NotSymmetricError:
-        psd = False
     return ConjectureHypotheses(
         w_primitive=structure(family.W).primitive,
-        b_psd=psd,
+        b_psd=_is_psd(family.B, _HYP_TOL),
         be_bounded_by_rho=bool(margin >= -_HYP_TOL),
         pibe_positive=bool(pibe > _HYP_TOL),
         pibe=pibe,

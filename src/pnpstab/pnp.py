@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, SingularMatrixError
 from .matrices import StochasticMatrix, as_matrix, as_square_matrix
-from .operators import ForwardOperator, gram
+from .operators import ForwardOperator, P_stack, gram
 from .spectral import solve_linear
 
 __all__ = [
@@ -107,10 +107,9 @@ def _iterate(m, c, x0, max_iter, tol, x_star, loss=None):
 def affine_map(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
     """(P(t), c) of the PnP update x <- P(t) x + c, with P(t) = W (I - t A^T A)
     and c = t W A^T b."""
-    a = problem.A.A
     w = problem.W.matrix
-    p = w @ (np.eye(problem.W.n) - problem.t * gram(problem.A))
-    c = problem.t * (w @ (a.T @ problem.b))
+    p = P_stack(w, gram(problem.A), np.array([problem.t], dtype=float))[0]
+    c = problem.t * (w @ (problem.A.A.T @ problem.b))
     return p, c
 
 

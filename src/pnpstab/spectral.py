@@ -1,19 +1,20 @@
 """Dense eigensolution, spectral radius/norm, and pivot-checked linear solves.
 
-Backed by LAPACK via numpy/scipy. Complex arithmetic is confined to this
-module; every public matrix elsewhere in the package is real.
+Backed by LAPACK via numpy/scipy. `rho` and `solve_linear` are the
+one-matrix cases of `rho_stack` and `solve_stack`. Complex arithmetic is
+confined to this module; every public matrix elsewhere in the package is
+real.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergenceError, NotSymmetricError, SingularMatrixError
-from .matrices import as_square_matrix
+from .errors import NoConvergenceError, SingularMatrixError
+from .matrices import _symmetric_eigvals, as_square_matrix
 
 __all__ = [
     "Spectrum",
@@ -85,12 +86,11 @@ def spectral_radius(m) -> SpectralSummary:
 
 
 def rho(m) -> float:
-    """Spectral radius as a bare float (hot-loop form of spectral_radius)."""
-    a = as_square_matrix(m)
-    try:
-        return float(np.abs(np.linalg.eigvals(a)).max())
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(iterations=-1, residual=float("nan")) from exc
+    """Spectral radius as a bare float: the one-matrix case of `rho_stack`."""
+    radius = float(rho_stack(as_square_matrix(m)[None])[0])
+    if np.isnan(radius):
+        raise NoConvergenceError(iterations=-1, residual=float("nan"))
+    return radius
 
 
 def rho_stack(stack: np.ndarray) -> np.ndarray:
@@ -98,29 +98,27 @@ def rho_stack(stack: np.ndarray) -> np.ndarray:
     eigensolver fails.
 
     One stacked LAPACK call covers the stack; each value is bitwise the one
-    `rho` gives for that slice. If the stacked call fails, the slices are
-    retried one by one, so only the failing ones become NaN and non-finite
-    entries raise ValueError as `rho` does.
+    `rho` gives for that slice alone. If it fails, the slices are
+    retried one by one, so only the failing ones become NaN; non-finite
+    entries raise ValueError.
     """
     try:
         return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
     except np.linalg.LinAlgError:
-        radii = np.empty(len(stack))
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("matrix has non-finite entries") from None
+        radii = np.full(len(stack), np.nan)
         for k, m in enumerate(stack):
             try:
-                radii[k] = rho(m)
-            except NoConvergenceError:
-                radii[k] = np.nan
+                radii[k] = np.abs(np.linalg.eigvals(m)).max()
+            except np.linalg.LinAlgError:
+                pass
         return radii
 
 
 def symmetric_eigenvalues(s, sym_tol: float = 1e-9) -> np.ndarray:
     """Ascending real eigenvalues of a symmetric matrix."""
-    a = as_square_matrix(s)
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > sym_tol:
-        raise NotSymmetricError(asym)
-    return np.linalg.eigvalsh((a + a.T) / 2.0)
+    return _symmetric_eigvals(as_square_matrix(s), sym_tol)
 
 
 def spectral_norm(m) -> float:
@@ -133,57 +131,48 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _small_pivots(lu: np.ndarray, scale) -> np.ndarray:
-    # Mask of the U pivots at or below 1e-13 * ||A||_inf, for one LU or a stack.
-    return np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= 1e-13 * np.asarray(scale)[..., None]
-
-
-def _check_pivots(lu: np.ndarray, scale: float) -> None:
-    small = np.flatnonzero(_small_pivots(lu, scale))
-    if small.size:
-        raise SingularMatrixError(int(small[0]))
+def _lu_solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One LAPACK getrf/getrs pair per slice of an (m, n, n) stack. Returns the
+    # solutions and the (m, n) mask of U pivots at or below 1e-13 * ||A_k||_inf.
+    # A zero pivot (getrf info > 0) is in that mask; getrs then only fills its
+    # slice with non-finite values.
+    scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a,))
+    lu = np.empty_like(a)
+    x = np.empty(a.shape[:1] + np.shape(b))
+    for k in range(len(a)):
+        factor, piv, _ = getrf(a[k])
+        lu[k] = factor
+        x[k] = getrs(factor, piv, b)[0]
+    return x, np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= 1e-13 * scale[:, None]
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve Ax = b (vector or matrix right-hand side) by pivoted LU.
+    """Solve Ax = b (vector or matrix right-hand side) by pivoted LU: the
+    one-matrix case of `solve_stack`.
 
-    Raises SingularMatrixError when a pivot falls below 1e-13 * ||A||.
+    Raises SingularMatrixError at the first pivot at or below 1e-13 * ||A||.
     """
     a = as_square_matrix(a)
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {a.shape[0]}")
-    scale = float(np.linalg.norm(a, np.inf)) if a.size else 0.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularMatrixError(0) from exc
-    _check_pivots(lu, scale)
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x, small = _lu_solve_each(a[None], rhs)
+    bad = np.flatnonzero(small[0])
+    if bad.size:
+        raise SingularMatrixError(int(bad[0]))
+    return x[0]
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A_k X = b for every matrix A_k of an (m, n, n) stack.
 
     Returns `(x, ok)`: `ok` masks the slices that pass the pivot test of
-    `solve_linear`, and `x` stacks their solutions in order. Each slice
-    goes through the LAPACK getrf/getrs pair behind `solve_linear`, so its
-    solution is bitwise the one `solve_linear(a[k], b)` returns; calling
-    them directly skips scipy's per-call checks and batch bookkeeping.
+    `solve_linear`, and `x` stacks their solutions in order. Each slice is
+    bitwise the solution `solve_linear(a[k], b)` returns.
     """
-    scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a,))
-    lu = np.empty_like(a)
-    x = np.empty(a.shape[:1] + np.shape(b))
-    for k in range(len(a)):
-        # A zero pivot (getrf info > 0) fails the pivot test below; getrs
-        # then only fills the dropped slice with non-finite values.
-        factor, piv, _ = getrf(a[k])
-        lu[k] = factor
-        x[k] = getrs(factor, piv, b)[0]
-    ok = ~_small_pivots(lu, scale).any(axis=-1)
+    x, small = _lu_solve_each(a, b)
+    ok = ~small.any(axis=-1)
     return x[ok], ok
 
 

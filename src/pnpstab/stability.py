@@ -23,7 +23,6 @@ from .errors import (
     HypothesesUnmetError,
     InvalidGridError,
     NoConvergenceError,
-    NotSymmetricError,
     SingularShiftError,
 )
 from .generators import (
@@ -35,7 +34,7 @@ from .generators import (
     random_positive_stochastic,
     random_unit_psd,
 )
-from .matrices import is_positive_semidefinite, structure, validate_stochastic
+from .matrices import _is_psd, structure, validate_stochastic
 from .operators import (
     OperatorFamily,
     alpha_beta_B,
@@ -43,12 +42,14 @@ from .operators import (
     build_superres,
     conjecture_hypotheses,
     ConjectureHypotheses,
+    P_stack,
+    R_stack,
     gram,
     kernel_denoiser,
     make_family,
     predicted_slope,
 )
-from .spectral import rho_stack, solve_stack
+from .spectral import rho_stack
 
 __all__ = [
     "StabilityProfile",
@@ -93,10 +94,11 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     """rho(P(t)) or rho(R(t)) at every t of a 1-D grid.
 
     Each value is bitwise the spectral radius that `spectral.rho` gives
-    for `P_of(family, t)` or `R_of(family, t)`. inf marks a singular shift
-    I + tB (R only) and NaN an eigensolver failure. The grid is evaluated
-    in blocks of at most `_BLOCK_ENTRIES` stacked entries, with one
-    stacked eigensolve per block.
+    for `P_of(family, t)` or `R_of(family, t)`, all of them slices of
+    `operators.P_stack`/`R_stack` and `spectral.rho_stack`. inf marks a
+    singular shift I + tB (R only) and NaN an eigensolver failure. The grid
+    is evaluated in blocks of at most `_BLOCK_ENTRIES` stacked entries,
+    with one stacked eigensolve per block.
     """
     if which not in ("P", "R"):
         raise ValueError(f"which must be 'P' or 'R', got {which!r}")
@@ -105,23 +107,16 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
         raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)) or (which == "R" and np.any(ts < 0.0)):
         raise ValueError("t must be finite, and nonnegative for R")
-    radii = np.empty(ts.size)
+    w, b = family.W.matrix, family.B
+    radii = np.full(ts.size, np.inf)
     step = _block_points(family.n)
     for lo in range(0, ts.size, step):
-        radii[lo : lo + step] = _block_rho(family, which, ts[lo : lo + step])
-    return radii
-
-
-def _block_rho(family: OperatorFamily, which: str, ts: np.ndarray) -> np.ndarray:
-    # Same operations as P_of / R_of, applied to the stack of all t at once.
-    w = family.W.matrix
-    eye = np.eye(family.n)
-    tb = ts[:, None, None] * family.B
-    if which == "P":
-        return rho_stack(w @ (eye - tb))
-    x, ok = solve_stack(eye + tb, 2.0 * w - eye)
-    radii = np.full(ts.size, np.inf)
-    radii[ok] = rho_stack(eye - w + x)
+        block = ts[lo : lo + step]
+        if which == "P":
+            radii[lo : lo + step] = rho_stack(P_stack(w, b, block))
+        else:
+            r, ok = R_stack(w, b, block)
+            radii[lo : lo + step][ok] = rho_stack(r)
     return radii
 
 
@@ -332,13 +327,6 @@ def _check_hypotheses(family: OperatorFamily, theorem: str) -> None:
         _require(hyp.pibe_positive, f"pi^T B e = {hyp.pibe} is not positive")
     else:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-
-
-def _is_psd(b: np.ndarray, tol: float) -> bool:
-    try:
-        return is_positive_semidefinite(b, tol=tol)
-    except NotSymmetricError:
-        return False
 
 
 def check_theorem_bound(

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+from pnpstab import stability
 
 from pnpstab.errors import (
     AllZeroMaskError,
@@ -15,7 +18,9 @@ from pnpstab.errors import (
 from pnpstab.matrices import is_positive_semidefinite, structure, validate_stochastic
 from pnpstab.operators import (
     P_of,
+    P_stack,
     R_of,
+    R_stack,
     alpha_beta_B,
     build_deblur,
     build_inpainting,
@@ -32,6 +37,7 @@ from pnpstab.operators import (
     save_family,
     save_operator,
 )
+from pnpstab.repro import EXAMPLE_IDS, example_family
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF_E = np.ones((2, 2)) / 2
@@ -364,3 +370,64 @@ def test_family_save_load_round_trip(tmp_path):
 def test_make_family_rejects_reducible_w():
     with pytest.raises(NotIrreducibleError):
         make_family(validate_stochastic(np.eye(2)), np.eye(2))
+
+
+# -- builders against an independent rebuild ----------------------------------
+
+
+def assert_builders_match_rebuild(family, ts):
+    """P_of/R_of are bitwise W (I - tB) and I - W + LU-solve(I + tB, 2W - I)."""
+    w, b, eye = family.W.matrix, family.B, np.eye(family.n)
+    for t in ts:
+        t = float(t)
+        assert np.array_equal(P_of(family, t), w @ (eye - t * b)), t
+        shift = eye + t * b
+        try:
+            got = R_of(family, t)
+        except SingularShiftError:
+            assert np.linalg.cond(shift) > 1e12, t
+            continue
+        want = eye - w + scipy.linalg.lu_solve(scipy.linalg.lu_factor(shift), 2.0 * w - eye)
+        assert np.array_equal(got, want), t
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_builders_match_rebuild_on_imaging_families(seed):
+    rng = np.random.default_rng(seed)
+    family = stability._imaging_instance(rng, int(rng.integers(2, 9)))
+    assert_builders_match_rebuild(family, 2.0 / family.rho_B * np.arange(0, 34) / 32)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_builders_match_rebuild_on_general_psd_families(seed):
+    rng = np.random.default_rng(seed)
+    family = stability._general_psd_instance(rng, int(rng.integers(2, 9)))
+    assert_builders_match_rebuild(family, 2.0 / family.rho_B * np.arange(0, 34) / 32)
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_builders_match_rebuild_on_examples(example):
+    assert_builders_match_rebuild(example_family(example), np.linspace(0.0, 20.0, 81))
+
+
+def test_stacked_builders_equal_one_point_calls_slice_by_slice():
+    family = stability._imaging_instance(np.random.default_rng(5), 12)
+    w, b = family.W.matrix, family.B
+    ts = 2.0 / family.rho_B * np.arange(1, 301) / 301  # more points than one scan block
+    p = P_stack(w, b, ts)
+    r, ok = R_stack(w, b, ts)
+    assert p.shape == r.shape == (ts.size, 12, 12) and ok.all()
+    for k, t in enumerate(ts):
+        assert np.array_equal(p[k], P_of(family, t)), t
+        assert np.array_equal(r[k], R_of(family, t)), t
+
+
+def test_R_stack_drops_the_singular_slice_only():
+    family = make_family(validate_stochastic(W_BLUR), -np.eye(2))
+    ts = np.array([0.5, 1.0, 1.5])  # I + tB = (1 - t) I vanishes at t = 1
+    r, ok = R_stack(family.W.matrix, family.B, ts)
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(r[0], R_of(family, 0.5))
+    assert np.array_equal(r[1], R_of(family, 1.5))
+    with pytest.raises(SingularShiftError):
+        R_of(family, 1.0)

@@ -1,10 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from pnpstab.errors import NotSquareError, NotSymmetricError, SingularMatrixError
+from pnpstab.errors import (
+    NoConvergenceError,
+    NotSquareError,
+    NotSymmetricError,
+    SingularMatrixError,
+    SingularShiftError,
+)
+from pnpstab.matrices import validate_stochastic
+from pnpstab.operators import R_of, make_family
 from pnpstab.spectral import (
     eigenvalues,
     rho,
+    rho_stack,
     shifted_inverse_norm,
     solve_linear,
     spectral_norm,
@@ -195,6 +206,34 @@ def test_solve_rank_one_shift():
 def test_solve_detects_singular():
     with pytest.raises(SingularMatrixError):
         solve_linear(np.ones((2, 2)), np.array([1.0, 0.0]))
+
+
+def test_solve_reports_the_first_small_pivot():
+    with pytest.raises(SingularMatrixError) as info:
+        solve_linear(np.diag([1.0, 0.0, 1.0]), np.ones(3))
+    assert info.value.pivot_index == 1
+
+
+def test_singular_shift_raises_without_a_warning():
+    family = make_family(validate_stochastic(np.array([[0.0, 1.0], [1.0, 0.0]])), -np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularShiftError):
+            R_of(family, 1.0)
+
+
+def test_rho_raises_where_rho_stack_gives_nan(monkeypatch):
+    m = np.array([[0.5, 0.5], [0.2, 0.8]])
+
+    def always_fails(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", always_fails)
+    assert np.all(np.isnan(rho_stack(np.stack([m, m]))))
+    with pytest.raises(NoConvergenceError):
+        rho(m)
+    with pytest.raises(ValueError):
+        rho_stack(np.stack([m, np.full((2, 2), np.nan)]))
 
 
 def test_solve_residual_on_random_systems():
