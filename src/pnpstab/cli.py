@@ -91,9 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_family(w_path: str, b_path: str):
-    w = validate_stochastic(read_matrix(w_path))
-    b = read_matrix(b_path)
-    return make_family(w, b, labels=(f"w:{w_path}", f"b:{b_path}"))
+    return make_family(validate_stochastic(read_matrix(w_path)), read_matrix(b_path))
 
 
 def _cmd_profile(args) -> int:

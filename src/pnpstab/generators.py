@@ -15,7 +15,6 @@ __all__ = [
     "random_positive_stochastic",
     "random_bipartite_stochastic",
     "random_doubly_stochastic",
-    "random_psd",
     "random_unit_psd",
     "random_nonneg_diagonal",
     "random_alpha_beta",
@@ -46,47 +45,38 @@ def random_bipartite_stochastic(rng: np.random.Generator, n: int) -> StochasticM
     return validate_stochastic(m / m.sum(axis=1, keepdims=True), tol=1e-10)
 
 
-def random_doubly_stochastic(
-    rng: np.random.Generator,
-    n: int,
-    sweeps: int = 200,
-    residual: float = 1e-12,
-) -> StochasticMatrix:
+def random_doubly_stochastic(rng: np.random.Generator, n: int) -> StochasticMatrix:
     """Sinkhorn-balance a strictly positive matrix to doubly stochastic.
 
-    Alternating row/column normalization; converges for positive inputs.
+    Alternating row/column normalization for at most 200 sweeps, stopping
+    once every row sum is within 1e-12 of 1; converges for positive inputs.
     Ends on a row normalization so rows sum to 1 exactly on admission.
     """
     m = rng.uniform(0.05, 1.0, size=(n, n))
-    for _ in range(sweeps):
+    for _ in range(200):
         m /= m.sum(axis=1, keepdims=True)
         m /= m.sum(axis=0, keepdims=True)
-        if np.abs(m.sum(axis=1) - 1.0).max() <= residual:
+        if np.abs(m.sum(axis=1) - 1.0).max() <= 1e-12:
             break
     m /= m.sum(axis=1, keepdims=True)
-    return validate_stochastic(m, tol=max(residual * 10, 1e-10))
+    return validate_stochastic(m, tol=1e-10)
 
 
-def random_psd(rng: np.random.Generator, n: int, require_be_nonzero: bool = True) -> np.ndarray:
-    """B = G^T G for Gaussian G; resampled until Be is clearly nonzero."""
+def random_unit_psd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """B = G^T G for Gaussian G, resampled until Be is clearly nonzero, then
+    rescaled so rho(B) = 1."""
     while True:
         g = rng.normal(size=(n, n))
         b = g.T @ g
         b = (b + b.T) / 2.0
-        if not require_be_nonzero or np.abs(b.sum(axis=1)).max() > 1e-8:
-            return b
+        if np.abs(b.sum(axis=1)).max() > 1e-8:
+            return b / np.linalg.eigvalsh(b).max()
 
 
-def random_unit_psd(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random PSD matrix rescaled so rho(B) = 1."""
-    b = random_psd(rng, n)
-    return b / np.linalg.eigvalsh(b).max()
-
-
-def random_nonneg_diagonal(rng: np.random.Generator, n: int, zero_fraction: float = 0.3) -> np.ndarray:
-    """Nonzero diagonal B >= 0 with a sprinkling of exactly-zero entries."""
+def random_nonneg_diagonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Nonzero diagonal B >= 0 whose entries are each exactly zero with probability 0.3."""
     d = rng.uniform(0.1, 3.0, size=n)
-    d[rng.random(n) < zero_fraction] = 0.0
+    d[rng.random(n) < 0.3] = 0.0
     if not d.any():
         d[int(rng.integers(n))] = float(rng.uniform(0.1, 3.0))
     return np.diag(d)
@@ -110,15 +100,15 @@ def random_zero_rowsum(rng: np.random.Generator, n: int) -> np.ndarray:
             return b
 
 
-def random_mask(rng: np.random.Generator, n: int, keep_probability: float = 0.7) -> np.ndarray:
-    """0/1 inpainting mask with at least one observed pixel."""
-    mask = (rng.random(n) < keep_probability).astype(float)
+def random_mask(rng: np.random.Generator, n: int) -> np.ndarray:
+    """0/1 inpainting mask keeping each pixel with probability 0.7, and at least one."""
+    mask = (rng.random(n) < 0.7).astype(float)
     if not mask.any():
         mask[int(rng.integers(n))] = 1.0
     return mask
 
 
-def random_blur_kernel(rng: np.random.Generator, n: int, max_len: int = 4) -> np.ndarray:
-    """Positive blur kernel of random length <= min(n, max_len)."""
-    length = int(rng.integers(1, min(n, max_len) + 1))
+def random_blur_kernel(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Positive blur kernel of random length <= min(n, 4)."""
+    length = int(rng.integers(1, min(n, 4) + 1))
     return rng.uniform(0.05, 1.0, size=length)

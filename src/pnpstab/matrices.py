@@ -185,12 +185,13 @@ def _perron_by_solve(m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13, max_iter: int = 50_000) -> PerronData:
+def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13) -> PerronData:
     """Left Perron vector of an irreducible stochastic matrix.
 
-    Power iteration on the transpose with L1 renormalization; if the
-    iteration cycles (irreducible but non-primitive patterns), falls back
-    to solving the singular system directly.
+    Power iteration on the transpose with L1 renormalization, for at most
+    50 000 steps; if the iteration cycles (irreducible but non-primitive
+    patterns) or does not reach tol, falls back to solving the singular
+    system directly.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -202,7 +203,7 @@ def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13, max_iter: int = 
     iterations = 0
     residual = _perron_residual(pi, m)
     checkpoint = residual
-    while residual > tol and iterations < max_iter:
+    while residual > tol and iterations < 50_000:
         pi = pi @ m
         pi /= pi.sum()
         iterations += 1

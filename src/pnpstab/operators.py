@@ -13,9 +13,7 @@ superresolution produce B = A^T A; kernel denoisers produce W.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +32,8 @@ from .matrices import (
     _is_psd,
     as_square_matrix,
     left_perron_vector,
-    read_matrix,
     structure,
     validate_stochastic,
-    write_matrix,
 )
 from .spectral import rho, solve_stack, symmetric_eigenvalues
 
@@ -60,10 +56,6 @@ __all__ = [
     "kernel_denoiser",
     "conjecture_hypotheses",
     "alpha_beta_B",
-    "save_operator",
-    "load_operator",
-    "save_family",
-    "load_family",
 ]
 
 _HYP_TOL = 1e-10
@@ -77,7 +69,6 @@ class OperatorFamily:
     B: np.ndarray
     perron: PerronData
     rho_B: float
-    labels: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
@@ -86,11 +77,10 @@ class OperatorFamily:
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Imaging measurement matrix A with its construction metadata."""
+    """Imaging measurement matrix A and the kind of model that built it."""
 
     A: np.ndarray
     kind: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -111,7 +101,7 @@ class ConjectureHypotheses:
         return self.w_primitive and self.b_psd and self.be_bounded_by_rho and self.pibe_positive
 
 
-def make_family(w: StochasticMatrix, b, labels: tuple[str, ...] = ()) -> OperatorFamily:
+def make_family(w: StochasticMatrix, b) -> OperatorFamily:
     """Bundle (W, B) with Perron data and cached rho(B).
 
     W must be irreducible (checked while computing the Perron vector);
@@ -127,7 +117,7 @@ def make_family(w: StochasticMatrix, b, labels: tuple[str, ...] = ()) -> Operato
         rho_b = rho(b)
     b = b.copy()
     b.setflags(write=False)
-    return OperatorFamily(W=w, B=b, perron=perron, rho_B=rho_b, labels=tuple(labels))
+    return OperatorFamily(W=w, B=b, perron=perron, rho_B=rho_b)
 
 
 def P_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -185,7 +175,7 @@ def build_inpainting(mask) -> ForwardOperator:
         raise ValueError("mask must be a nonempty 0/1 vector")
     if not mask.any():
         raise AllZeroMaskError("mask keeps no pixels")
-    return ForwardOperator(A=np.diag(mask), kind="inpainting", params={"mask": mask.tolist()})
+    return ForwardOperator(A=np.diag(mask), kind="inpainting")
 
 
 def build_deblur(kernel, n: int) -> ForwardOperator:
@@ -207,7 +197,7 @@ def build_deblur(kernel, n: int) -> ForwardOperator:
     first_row[: kernel.size] = kernel / total
     cols = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     h = first_row[cols]
-    return ForwardOperator(A=h, kind="deblurring", params={"kernel": kernel.tolist(), "n": n})
+    return ForwardOperator(A=h, kind="deblurring")
 
 
 def build_superres(h: ForwardOperator, stride: int) -> ForwardOperator:
@@ -220,11 +210,7 @@ def build_superres(h: ForwardOperator, stride: int) -> ForwardOperator:
     keep = np.arange(0, n, stride)
     if keep.size == 0:
         raise EmptySelectionError("selector keeps no rows")
-    return ForwardOperator(
-        A=h.A[keep, :],
-        kind="superresolution",
-        params={"kernel": h.params.get("kernel"), "n": n, "stride": stride},
-    )
+    return ForwardOperator(A=h.A[keep, :], kind="superresolution")
 
 
 def gram(a: ForwardOperator) -> np.ndarray:
@@ -297,30 +283,3 @@ def alpha_beta_B(alpha: float, beta: float, n: int) -> np.ndarray:
     if alpha + n * beta <= 0:
         raise ValueError("alpha + n*beta must be positive")
     return alpha * np.eye(n) + beta * np.ones((n, n))
-
-
-def save_operator(op: ForwardOperator, matrix_path, sidecar_path) -> None:
-    """Persist A in the matrix text format plus a JSON metadata sidecar."""
-    write_matrix(matrix_path, op.A)
-    meta = {"kind": op.kind, "params": op.params}
-    Path(sidecar_path).write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def load_operator(matrix_path, sidecar_path) -> ForwardOperator:
-    a = read_matrix(matrix_path)
-    meta = json.loads(Path(sidecar_path).read_text())
-    return ForwardOperator(A=a, kind=meta["kind"], params=meta.get("params", {}))
-
-
-def save_family(family: OperatorFamily, w_path, b_path, sidecar_path) -> None:
-    """Persist a family as two matrix files plus a JSON label sidecar."""
-    write_matrix(w_path, family.W.matrix)
-    write_matrix(b_path, family.B)
-    meta = {"labels": list(family.labels), "tol": family.W.tol}
-    Path(sidecar_path).write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def load_family(w_path, b_path, sidecar_path) -> OperatorFamily:
-    meta = json.loads(Path(sidecar_path).read_text())
-    w = validate_stochastic(read_matrix(w_path), tol=meta.get("tol", 1e-10))
-    return make_family(w, read_matrix(b_path), labels=tuple(meta.get("labels", ())))

@@ -116,9 +116,9 @@ def rho_stack(stack: np.ndarray) -> np.ndarray:
         return radii
 
 
-def symmetric_eigenvalues(s, sym_tol: float = 1e-9) -> np.ndarray:
-    """Ascending real eigenvalues of a symmetric matrix."""
-    return _symmetric_eigvals(as_square_matrix(s), sym_tol)
+def symmetric_eigenvalues(s) -> np.ndarray:
+    """Ascending real eigenvalues of a matrix symmetric within 1e-9."""
+    return _symmetric_eigvals(as_square_matrix(s), 1e-9)
 
 
 def spectral_norm(m) -> float:

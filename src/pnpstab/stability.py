@@ -13,7 +13,7 @@ import csv
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +79,7 @@ GENERATORS = ("imaging", "general_psd")
 
 _VIOLATION_SLACK = 1e-12
 _SUITE_SLACK = 1e-10
+_REJECTION_ROUNDS = 1000
 
 # Float64 entries of one stacked block of P(t) or R(t) matrices (256 KiB).
 # At n >= 182 a block is a single matrix, so large families keep the memory
@@ -150,7 +151,6 @@ class StabilityProfile:
     eigensolver failed; the scan itself never aborts.
     """
 
-    family_labels: tuple[str, ...]
     grid: np.ndarray
     rho_P: np.ndarray
     rho_R: np.ndarray
@@ -166,7 +166,7 @@ def profile(family: OperatorFamily, t_min: float, t_max: float, steps: int) -> S
     rho_p = rho_on_grid(family, "P", grid)
     rho_r = rho_on_grid(family, "R", grid)
     rho_r[np.isinf(rho_r)] = np.nan
-    return StabilityProfile(family_labels=family.labels, grid=grid, rho_P=rho_p, rho_R=rho_r)
+    return StabilityProfile(grid=grid, rho_P=rho_p, rho_R=rho_r)
 
 
 def profile_to_csv(prof: StabilityProfile, path) -> None:
@@ -203,16 +203,7 @@ class ThresholdReport:
     eps0: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "classification": self.classification,
-            "T_star": self.T_star,
-            "bracket": list(self.bracket) if self.bracket else None,
-            "bisect_tol": self.bisect_tol,
-            "scan_max": self.scan_max,
-            "grid_step": self.grid_step,
-            "eps0": self.eps0,
-        }
+        return asdict(self)
 
 
 def stability_threshold(
@@ -335,9 +326,8 @@ def check_theorem_bound(
     theorem: str,
     grid_steps: int = 64,
     enforce_hypotheses: bool = True,
-    slack: float = _SUITE_SLACK,
 ) -> TheoremCheckReport:
-    """Assert rho < 1 - slack at interior points of (0, 2/rho(B)).
+    """Assert rho < 1 - 1e-10 at interior points of (0, 2/rho(B)).
 
     Hypotheses of the named bound are verified first and raise
     HypothesesUnmetError when violated; pass enforce_hypotheses=False to
@@ -354,7 +344,7 @@ def check_theorem_bound(
         raise HypothesesUnmetError("rho(B) = 0; the interval (0, 2/rho(B)) is empty")
     upper = 2.0 / family.rho_B
     ts = _open_grid(upper, grid_steps)
-    crossing = _first_unstable(family, ts, 1.0 - slack, (which,))
+    crossing = _first_unstable(family, ts, 1.0 - _SUITE_SLACK, (which,))
     return TheoremCheckReport(
         theorem=theorem,
         which=which,
@@ -407,35 +397,17 @@ class ConjectureTrialResult:
     certificate: tuple[float, float, str] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "record": "trial",
-            "seed": self.seed,
-            "n": self.n,
-            "generator": self.generator,
-            "hypotheses": {
-                "w_primitive": self.hypotheses.w_primitive,
-                "b_psd": self.hypotheses.b_psd,
-                "be_bounded_by_rho": self.hypotheses.be_bounded_by_rho,
-                "pibe_positive": self.hypotheses.pibe_positive,
-                "pibe": self.hypotheses.pibe,
-                "margin": self.hypotheses.margin,
-            },
-            "verdict": self.verdict,
-            "certificate": list(self.certificate) if self.certificate else None,
-        }
+        return {"record": "trial", **asdict(self)}
 
 
-def evaluate_conjecture_family(
-    family: OperatorFamily,
-    grid_points: int = 256,
-    slack: float = _VIOLATION_SLACK,
-) -> tuple[ConjectureHypotheses, str, tuple[float, float, str] | None]:
-    """Check hypotheses, then scan (0, 2/rho(B)) for a stability violation."""
+def evaluate_conjecture_family(family: OperatorFamily) -> tuple[ConjectureHypotheses, str, tuple[float, float, str] | None]:
+    """Check hypotheses, then scan 256 interior points of (0, 2/rho(B)) for a
+    stability violation (rho >= 1 - 1e-12)."""
     hyp = conjecture_hypotheses(family)
     if not hyp.all_met():
         return hyp, "hypotheses_unmet", None
-    ts = _open_grid(2.0 / family.rho_B, grid_points)
-    crossing = _first_unstable(family, ts, 1.0 - slack, ("P", "R"))
+    ts = _open_grid(2.0 / family.rho_B, 256)
+    crossing = _first_unstable(family, ts, 1.0 - _VIOLATION_SLACK, ("P", "R"))
     if crossing is None:
         return hyp, "pass", None
     k, which, r = crossing
@@ -447,24 +419,16 @@ def _imaging_instance(rng: np.random.Generator, n: int) -> OperatorFamily:
     bandwidth = float(rng.uniform(0.2, 1.0))
     w = kernel_denoiser(signal, bandwidth)
     h = build_deblur(random_blur_kernel(rng, n), n)
-    if n >= 4 and rng.random() < 0.5:
-        op = build_superres(h, stride=2)
-        label = "superres"
-    else:
-        op = h
-        label = "deblur"
-    return make_family(w, gram(op), labels=(f"imaging:{label}",))
+    op = build_superres(h, stride=2) if n >= 4 and rng.random() < 0.5 else h
+    return make_family(w, gram(op))
 
 
-def _general_psd_instance(rng: np.random.Generator, n: int, cap: int = 1000) -> OperatorFamily:
-    for _ in range(cap):
-        w = random_positive_stochastic(rng, n)
-        b = random_unit_psd(rng, n)
-        family = make_family(w, b, labels=("general_psd",))
-        hyp = conjecture_hypotheses(family)
-        if hyp.all_met():
+def _general_psd_instance(rng: np.random.Generator, n: int) -> OperatorFamily:
+    for _ in range(_REJECTION_ROUNDS):
+        family = make_family(random_positive_stochastic(rng, n), random_unit_psd(rng, n))
+        if conjecture_hypotheses(family).all_met():
             return family
-    raise GenerationExhaustedError(f"no admissible (W, B) in {cap} rejection rounds")
+    raise GenerationExhaustedError(f"no admissible (W, B) in {_REJECTION_ROUNDS} rejection rounds")
 
 
 def conjecture_trial(n: int, generator: str, seed: int) -> ConjectureTrialResult:
@@ -498,14 +462,7 @@ class CampaignSummary:
     certificates: tuple[tuple[int, int, str, float, float, str], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "record": "summary",
-            "trials": self.trials,
-            "passes": self.passes,
-            "violations": self.violations,
-            "hypotheses_unmet": self.hypotheses_unmet,
-            "certificates": [list(c) for c in self.certificates],
-        }
+        return {"record": "summary", **asdict(self)}
 
 
 def _trial_n(seed: int, n_min: int, n_max: int) -> int:
@@ -543,6 +500,8 @@ def run_campaign(
     for i in range(trials):
         seed = base_seed + i
         specs.append((_trial_n(seed, n_min, n_max), generators[i % len(generators)], seed))
+    # A pool starts all of its workers at the first submit, however few the tasks.
+    workers = min(workers, trials)
     if workers <= 1:
         results = [_run_trial_spec(s) for s in specs]
     else:
@@ -575,15 +534,7 @@ class SuiteInstanceResult:
     violation: tuple[float, float] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "record": "instance",
-            "suite": self.suite,
-            "seed": self.seed,
-            "n": self.n,
-            "passed": self.passed,
-            "which_failed": self.which_failed,
-            "violation": list(self.violation) if self.violation else None,
-        }
+        return {"record": "instance", **asdict(self)}
 
 
 def suite_family(suite: str, seed: int, n: int) -> OperatorFamily:
@@ -606,7 +557,7 @@ def suite_family(suite: str, seed: int, n: int) -> OperatorFamily:
         return _general_psd_instance(rng, n)
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of {THEOREMS}")
-    return make_family(w, b, labels=(f"suite:{suite}",))
+    return make_family(w, b)
 
 
 def run_suite(

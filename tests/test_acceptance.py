@@ -191,7 +191,7 @@ def test_criterion_12_pnp_convergence_and_rate():
     vals, vecs = np.linalg.eigh(B_CEX)
     sqrt_b = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     unstable = InverseProblem(
-        A=ForwardOperator(A=sqrt_b, kind="custom", params={}),
+        A=ForwardOperator(A=sqrt_b, kind="custom"),
         b=np.zeros(2),
         W=validate_stochastic(W_CEX),
         t=0.25,

@@ -153,3 +153,23 @@ def test_repro_all_examples_pass(tmp_path, capsys):
 
 def test_repro_rejects_unknown_example(tmp_path):
     assert main(["repro", "--example", "nonsense", "--out", str(tmp_path)]) == 2
+
+
+def test_records_keep_their_key_order(blur_files, tmp_path):
+    w, b = blur_files
+    hypotheses = ["w_primitive", "b_psd", "be_bounded_by_rho", "pibe_positive", "pibe", "margin"]
+    assert main(["threshold", "--w", w, "--b", b, "--which", "P", "--scan-max", "3", "--out", str(tmp_path / "t.json")]) == 0
+    threshold = json.loads((tmp_path / "t.json").read_text())
+    assert list(threshold) == ["which", "classification", "T_star", "bracket", "bisect_tol", "scan_max", "grid_step", "eps0"]
+    assert main(["fuzz", "--trials", "2", "--seed", "3", "--out", str(tmp_path / "f.jsonl")]) == 0
+    trial, summary = [json.loads(line) for line in (tmp_path / "f.jsonl").read_text().splitlines()[1:]]
+    assert list(trial) == ["record", "seed", "n", "generator", "hypotheses", "verdict", "certificate"]
+    assert list(trial["hypotheses"]) == hypotheses
+    assert list(summary) == ["record", "trials", "passes", "violations", "hypotheses_unmet", "certificates"]
+    assert main(["check", "--suite", "inpainting", "--trials", "1", "--out", str(tmp_path / "c.jsonl")]) == 0
+    instance = json.loads((tmp_path / "c.jsonl").read_text().splitlines()[0])
+    assert list(instance) == ["record", "suite", "seed", "n", "passed", "which_failed", "violation"]
+    assert main(["repro", "--example", "remark_1_6", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "remark_1_6_report.json").read_text())
+    assert list(report) == ["example", "overall_pass", "checks", "artifacts"]
+    assert list(report["checks"][0]) == ["name", "expected", "computed", "tolerance", "pass"]

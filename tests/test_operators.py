@@ -30,12 +30,8 @@ from pnpstab.operators import (
     gram,
     kernel_affinity,
     kernel_denoiser,
-    load_family,
-    load_operator,
     make_family,
     predicted_slope,
-    save_family,
-    save_operator,
 )
 from pnpstab.repro import EXAMPLE_IDS, example_family
 
@@ -346,25 +342,6 @@ def test_alpha_beta_builder_rejects_negative_alpha():
 def test_alpha_beta_builder_rejects_nonpositive_be():
     with pytest.raises(ValueError):
         alpha_beta_B(1.0, -0.5, 2)
-
-
-def test_operator_save_load_round_trip(tmp_path):
-    op = build_superres(build_deblur([0.6, 0.4], n=4), stride=2)
-    save_operator(op, tmp_path / "a.txt", tmp_path / "a.json")
-    back = load_operator(tmp_path / "a.txt", tmp_path / "a.json")
-    assert back.kind == op.kind
-    assert back.params == op.params
-    np.testing.assert_array_equal(back.A, op.A)
-
-
-def test_family_save_load_round_trip(tmp_path):
-    family = make_family(validate_stochastic(W_CEX), B_CEX, labels=("case", "indefinite"))
-    save_family(family, tmp_path / "w.txt", tmp_path / "b.txt", tmp_path / "fam.json")
-    back = load_family(tmp_path / "w.txt", tmp_path / "b.txt", tmp_path / "fam.json")
-    assert back.labels == family.labels
-    np.testing.assert_array_equal(back.W.matrix, family.W.matrix)
-    np.testing.assert_array_equal(back.B, family.B)
-    assert back.rho_B == pytest.approx(family.rho_B, abs=1e-14)
 
 
 def test_make_family_rejects_reducible_w():

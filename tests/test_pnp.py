@@ -51,7 +51,7 @@ def test_unstable_family_fails_to_converge():
     # A = B^{1/2} reproduces the indefinite-slope pair as a quadratic loss
     b_matrix = np.array([[34.0, -65.0], [-65.0, 126.0]]) / 10
     w = validate_stochastic(np.array([[7.0, 3.0], [6.0, 4.0]]) / 10)
-    op = ForwardOperator(A=_sqrt_psd(b_matrix), kind="custom", params={})
+    op = ForwardOperator(A=_sqrt_psd(b_matrix), kind="custom")
     problem = InverseProblem(A=op, b=np.zeros(2), W=w, t=0.25)
     trace = pgd_pnp_run(problem, x0=np.array([0.3, -0.2]), max_iter=500, tol=1e-10)
     assert not trace.converged
@@ -105,7 +105,7 @@ def test_fixed_point_singular_when_be_is_zero():
     rng = np.random.default_rng(7)
     m = rng.uniform(0.1, 1.0, size=(2, 2))
     w = validate_stochastic(m / m.sum(axis=1, keepdims=True))
-    problem = InverseProblem(A=ForwardOperator(A=a, kind="custom", params={}), b=np.array([1.0, 0.0]), W=w, t=0.7)
+    problem = InverseProblem(A=ForwardOperator(A=a, kind="custom"), b=np.array([1.0, 0.0]), W=w, t=0.7)
     with pytest.raises(SingularMatrixError):
         fixed_point(problem)
 

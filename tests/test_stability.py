@@ -381,6 +381,31 @@ def test_campaign_is_worker_invariant():
     assert summary_1.passes + summary_1.violations + summary_1.hypotheses_unmet == 24
 
 
+def test_campaign_starts_no_more_workers_than_trials(monkeypatch):
+    # A pool forks all max_workers processes at the first submit; this fake starts none.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(stability, "ProcessPoolExecutor", SerialPool)
+    results, summary = run_campaign(trials=2, n_range=(2, 3), base_seed=8, workers=5000)
+    assert started == [2]
+    assert summary.trials == 2 and [r.seed for r in results] == [8, 9]
+    run_campaign(trials=1, n_range=(2, 3), base_seed=8, workers=8)
+    assert started == [2]
+
+
 def test_campaign_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_campaign(trials=0)
