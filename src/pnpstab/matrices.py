@@ -59,7 +59,7 @@ class StochasticMatrix:
     """A validated row-stochastic matrix: entries >= 0, rows summing to 1.
 
     `tol` is the admission tolerance used at validation time; it is reused
-    for subsequent structural decisions (double stochasticity, symmetry).
+    as the column-sum tolerance of the double-stochasticity test.
     """
 
     matrix: np.ndarray
@@ -87,8 +87,6 @@ class StructureReport:
     irreducible: bool
     primitive: bool
     doubly_stochastic: bool
-    symmetric: bool
-    psd: bool | None
 
 
 def validate_stochastic(entries, tol: float = 1e-10) -> StochasticMatrix:
@@ -147,6 +145,8 @@ def structure(w: StochasticMatrix) -> StructureReport:
     irreducible with period 1, where the period is the gcd over edges
     (u, v) of level(u) + 1 - level(v) for the forward BFS levels. Both cost
     two BFS passes, O(n^2) for an n x n pattern, and no matrix product.
+    Doubly stochastic means every column sums to 1 within `w.tol`. No
+    eigenvalue is computed; `is_positive_semidefinite` answers PSD questions.
     """
     m = w.matrix
     pattern = m > 0.0
@@ -156,17 +156,10 @@ def structure(w: StochasticMatrix) -> StructureReport:
         # Period of a strongly connected graph (Denardo, Math. Oper. Res. 1977).
         u, v = np.nonzero(pattern)
         primitive = bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
-    doubly = bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= w.tol))
-    try:
-        psd: bool | None = bool(_symmetric_eigvals(m, w.tol).min() >= -w.tol)
-    except NotSymmetricError:
-        psd = None
     return StructureReport(
         irreducible=level is not None,
         primitive=primitive,
-        doubly_stochastic=doubly,
-        symmetric=psd is not None,
-        psd=psd,
+        doubly_stochastic=bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= w.tol)),
     )
 
 

@@ -54,7 +54,6 @@ from .spectral import rho_stack
 __all__ = [
     "StabilityProfile",
     "ThresholdReport",
-    "TheoremCheckReport",
     "SlopeCheck",
     "ConjectureTrialResult",
     "CampaignSummary",
@@ -261,17 +260,6 @@ def stability_threshold(
     return report("stable_throughout_scan")
 
 
-@dataclass(frozen=True)
-class TheoremCheckReport:
-    theorem: str
-    which: str
-    grid_points: int
-    upper: float
-    passed: bool
-    violation: tuple[float, float] | None
-    hypotheses_enforced: bool
-
-
 def _open_grid(upper: float, points: int) -> np.ndarray:
     # t_k = upper * k / (points + 1), k = 1..points: evenly spaced inside (0, upper).
     return upper * np.arange(1, points + 1) / (points + 1)
@@ -322,17 +310,17 @@ def _check_hypotheses(family: OperatorFamily, theorem: str) -> None:
 
 def check_theorem_bound(
     family: OperatorFamily,
-    which: str,
     theorem: str,
     grid_steps: int = 64,
     enforce_hypotheses: bool = True,
-) -> TheoremCheckReport:
-    """Assert rho < 1 - 1e-10 at interior points of (0, 2/rho(B)).
+) -> tuple[float, float, str] | None:
+    """First (t, rho, which) with rho >= 1 - 1e-10 at interior points of
+    (0, 2/rho(B)), or None when rho(P) and rho(R) stay below it.
 
     Hypotheses of the named bound are verified first and raise
     HypothesesUnmetError when violated; pass enforce_hypotheses=False to
-    probe the bound anyway (diagnostic mode). Failures return the first
-    offending (t, rho) rather than raising.
+    probe the bound anyway (diagnostic mode). P is scanned over the whole
+    grid before R, so a failure of both is reported as P.
     """
     if grid_steps < 1:
         raise InvalidGridError("need grid_steps >= 1")
@@ -342,18 +330,12 @@ def check_theorem_bound(
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     if family.rho_B <= 0.0:
         raise HypothesesUnmetError("rho(B) = 0; the interval (0, 2/rho(B)) is empty")
-    upper = 2.0 / family.rho_B
-    ts = _open_grid(upper, grid_steps)
-    crossing = _first_unstable(family, ts, 1.0 - _SUITE_SLACK, (which,))
-    return TheoremCheckReport(
-        theorem=theorem,
-        which=which,
-        grid_points=grid_steps,
-        upper=upper,
-        passed=crossing is None,
-        violation=None if crossing is None else (float(ts[crossing[0]]), crossing[2]),
-        hypotheses_enforced=enforce_hypotheses,
-    )
+    ts = _open_grid(2.0 / family.rho_B, grid_steps)
+    for which in ("P", "R"):
+        crossing = _first_unstable(family, ts, 1.0 - _SUITE_SLACK, (which,))
+        if crossing is not None:
+            return float(ts[crossing[0]]), crossing[2], which
+    return None
 
 
 class SlopeCheck(NamedTuple):
@@ -569,34 +551,26 @@ def run_suite(
 ) -> tuple[list[SuiteInstanceResult], dict]:
     """Run `trials` seeded instances of a theorem suite over n in [2, n_max].
 
-    Each instance asserts rho(P) < 1 and rho(R) < 1 at interior grid
-    points of (0, 2/rho(B)).
+    Each instance checks the suite's hypotheses once, then asserts
+    rho(P) < 1 and rho(R) < 1 at interior grid points of (0, 2/rho(B)).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
     results = []
     for i in range(trials):
         seed = base_seed + i
         n = _trial_n(seed, 2, n_max)
-        family = suite_family(suite, seed, n)
-        passed = True
-        which_failed = None
-        violation = None
-        for which in ("P", "R"):
-            report = check_theorem_bound(family, which, suite, grid_steps=grid_steps)
-            if not report.passed:
-                passed = False
-                which_failed = which
-                violation = report.violation
-                break
+        failure = check_theorem_bound(suite_family(suite, seed, n), suite, grid_steps=grid_steps)
         results.append(
             SuiteInstanceResult(
                 suite=suite,
                 seed=seed,
                 n=n,
-                passed=passed,
-                which_failed=which_failed,
-                violation=violation,
+                passed=failure is None,
+                which_failed=None if failure is None else failure[2],
+                violation=None if failure is None else failure[:2],
             )
         )
     summary = {

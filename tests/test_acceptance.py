@@ -8,7 +8,6 @@ minutes on a laptop.
 import json
 
 import numpy as np
-import pytest
 
 from pnpstab.cli import main
 from pnpstab.errors import SingularShiftError

@@ -91,6 +91,14 @@ def test_check_command_writes_jsonl(tmp_path):
     assert lines[-1]["failed"] == 0
 
 
+def test_check_command_rejects_n_below_two(tmp_path, capsys):
+    out = tmp_path / "suite.jsonl"
+    code = main(["check", "--suite", "inpainting", "--trials", "3", "--n", "1", "--out", str(out)])
+    assert code == 2
+    assert "need n_max >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuzz_command_roundtrip(tmp_path):
     out = tmp_path / "fuzz.jsonl"
     code = main(

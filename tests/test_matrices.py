@@ -69,7 +69,7 @@ def test_rows_renormalized_exactly():
 def test_structure_of_permutation_is_irreducible_not_primitive():
     info = structure(validate_stochastic([[0, 1], [1, 0]]))
     assert info.irreducible and not info.primitive
-    assert info.doubly_stochastic and info.symmetric
+    assert info.doubly_stochastic
 
 
 def test_structure_of_positive_matrix_is_primitive():
@@ -81,7 +81,6 @@ def test_structure_of_positive_matrix_is_primitive():
 def test_structure_of_identity_is_reducible():
     info = structure(validate_stochastic(np.eye(2)))
     assert not info.irreducible and not info.primitive
-    assert info.psd is True
 
 
 def test_primitive_implies_irreducible_on_random_patterns():

@@ -8,7 +8,7 @@ from pnpstab import stability
 from pnpstab.errors import HypothesesUnmetError, InvalidGridError, NoConvergenceError, SingularShiftError
 from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
-from pnpstab.operators import P_of, R_of, build_deblur, build_inpainting, gram, make_family
+from pnpstab.operators import P_of, R_of, build_inpainting, gram, make_family
 from pnpstab.repro import EXAMPLE_IDS, example_family
 from pnpstab.spectral import rho
 from pnpstab.stability import (
@@ -163,7 +163,7 @@ def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch
     with pytest.raises(NoConvergenceError):
         stability_threshold(family, "P", scan_max=3.0)
     with pytest.raises(NoConvergenceError):
-        check_theorem_bound(family, "P", "conjecture", enforce_hypotheses=False)
+        check_theorem_bound(family, "conjecture", enforce_hypotheses=False)
     with pytest.raises(NoConvergenceError):
         slope_check(family, "R")
 
@@ -268,30 +268,37 @@ def test_bound_check_passes_for_inpainting_family():
     m = rng.uniform(0.05, 1.0, size=(5, 5))
     w = validate_stochastic(m / m.sum(axis=1, keepdims=True))
     family = make_family(w, gram(build_inpainting([1, 0, 1, 1, 0])))
-    for which in ("P", "R"):
-        report = check_theorem_bound(family, which, "inpainting", grid_steps=32)
-        assert report.passed and report.violation is None
-        assert report.upper == pytest.approx(2.0)
+    assert 2.0 / family.rho_B == pytest.approx(2.0)
+    assert check_theorem_bound(family, "inpainting", grid_steps=32) is None
 
 
 def test_bound_check_rejects_unmet_hypotheses():
     with pytest.raises(HypothesesUnmetError):
-        check_theorem_bound(subsampled_family(), "P", "conjecture")
+        check_theorem_bound(subsampled_family(), "conjecture")
 
 
 def test_bound_check_diagnostic_mode_finds_instability_window():
-    report = check_theorem_bound(
-        subsampled_family(), "P", "conjecture", grid_steps=256, enforce_hypotheses=False
-    )
-    assert not report.passed
-    t, r = report.violation
-    assert 3.86 < t < report.upper
+    family = subsampled_family()
+    t, r, which = check_theorem_bound(family, "conjecture", grid_steps=256, enforce_hypotheses=False)
+    assert which == "P"
+    assert 3.86 < t < 2.0 / family.rho_B
     assert r >= 1.0 - 1e-10
+
+
+def test_bound_check_reports_p_before_r_at_the_same_point():
+    # Both rho(P) and rho(R) exceed 1 at the first grid point, R by slightly more.
+    family = example_family("remark_1_6")
+    t, r, which = check_theorem_bound(family, "conjecture", enforce_hypotheses=False)
+    assert which == "P"
+    assert t == 2.0 / family.rho_B / 65
+    assert t == pytest.approx(0.0019275, abs=1e-7)
+    assert r == pytest.approx(1.0000638, abs=1e-7)
+    assert rho_on_grid(family, "R", [t])[0] > r
 
 
 def test_bound_check_rejects_unknown_theorem():
     with pytest.raises(ValueError):
-        check_theorem_bound(blur_family(), "P", "nonsense")
+        check_theorem_bound(blur_family(), "nonsense")
 
 
 def test_bound_check_hypothesis_gate_by_theorem():
@@ -299,11 +306,11 @@ def test_bound_check_hypothesis_gate_by_theorem():
     m = rng.uniform(0.05, 1.0, size=(4, 4))
     w = validate_stochastic(m / m.sum(axis=1, keepdims=True))
     family = make_family(w, np.diag([1.0, 0.5, 0.0, 0.2]))
-    check_theorem_bound(family, "P", "inpainting", grid_steps=8)
+    check_theorem_bound(family, "inpainting", grid_steps=8)
     with pytest.raises(HypothesesUnmetError):
-        check_theorem_bound(family, "P", "dbl_stochastic", grid_steps=8)
+        check_theorem_bound(family, "dbl_stochastic", grid_steps=8)
     with pytest.raises(HypothesesUnmetError):
-        check_theorem_bound(family, "P", "alpha_beta", grid_steps=8)
+        check_theorem_bound(family, "alpha_beta", grid_steps=8)
 
 
 # -- slope checks -----------------------------------------------------------------
@@ -425,6 +432,24 @@ def test_suite_smoke_zero_failures(suite):
     assert summary["failed"] == 0
     assert len(results) == 20
     assert all(r.passed for r in results)
+
+
+def test_suite_checks_hypotheses_once_per_instance(monkeypatch):
+    calls = []
+    real = stability._check_hypotheses
+
+    def counting(family, theorem):
+        calls.append(theorem)
+        real(family, theorem)
+
+    monkeypatch.setattr(stability, "_check_hypotheses", counting)
+    run_suite("inpainting", trials=5, n_max=5, base_seed=3, grid_steps=8)
+    assert calls == ["inpainting"] * 5
+
+
+def test_suite_rejects_n_max_below_two():
+    with pytest.raises(ValueError, match="n_max"):
+        run_suite("inpainting", trials=3, n_max=1)
 
 
 def test_suite_family_is_deterministic():
