@@ -75,6 +75,8 @@ class PerronData:
     """Left Perron vector pi of an irreducible stochastic matrix.
 
     Normalized so pi @ e = 1, with residual = max-norm of pi @ W - pi.
+    `iterations` is always 0: pi comes from one direct solve, not an
+    iteration. The field is kept for callers that still read it.
     """
 
     pi: np.ndarray
@@ -163,59 +165,31 @@ def structure(w: StochasticMatrix) -> StructureReport:
     )
 
 
-def _perron_residual(pi: np.ndarray, m: np.ndarray) -> float:
-    return float(np.max(np.abs(pi @ m - pi)))
-
-
-def _perron_by_solve(m: np.ndarray) -> np.ndarray:
-    # (W^T - I) pi = 0 with the last equation replaced by sum(pi) = 1;
-    # nonsingular whenever 1 is a simple eigenvalue (irreducible W).
-    n = m.shape[0]
-    a = m.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
-
-
 def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13) -> PerronData:
     """Left Perron vector of an irreducible stochastic matrix.
 
-    Power iteration on the transpose with L1 renormalization, for at most
-    50 000 steps; if the iteration cycles (irreducible but non-primitive
-    patterns) or does not reach tol, falls back to solving the singular
-    system directly.
+    One direct solve of (W^T - I) pi = 0 with the last equation replaced
+    by sum(pi) = 1, which is nonsingular whenever 1 is a simple eigenvalue
+    (irreducible W; Stewart, Introduction to the Numerical Solution of
+    Markov Chains, 1994). The result is accepted only if its residual is
+    at most tol and every entry is positive; otherwise NoConvergenceError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = w.matrix
     if _irreducible_levels(m > 0.0) is None:
         raise NotIrreducibleError("nonzero pattern is not strongly connected")
-    n = w.n
-    pi = np.full(n, 1.0 / n)
-    iterations = 0
-    residual = _perron_residual(pi, m)
-    checkpoint = residual
-    while residual > tol and iterations < 50_000:
-        pi = pi @ m
-        pi /= pi.sum()
-        iterations += 1
-        residual = _perron_residual(pi, m)
-        if iterations % 64 == 0:
-            # Periodic patterns cycle without progress; divert to the solve.
-            if residual > 0.5 * checkpoint:
-                break
-            checkpoint = residual
-    if residual > tol:
-        pi = _perron_by_solve(m)
-        pi /= pi.sum()
-        residual = _perron_residual(pi, m)
-        if residual > tol:
-            raise NoConvergenceError(iterations, residual)
-    if pi.min() <= 0.0:
-        raise NoConvergenceError(iterations, residual)
+    a = m.T - np.eye(w.n)
+    a[-1, :] = 1.0
+    rhs = np.zeros(w.n)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(a, rhs)
+    pi /= pi.sum()
+    residual = float(np.max(np.abs(pi @ m - pi)))
+    if not (residual <= tol and pi.min() > 0.0):  # also rejects a NaN pi
+        raise NoConvergenceError(0, residual)
     pi.setflags(write=False)
-    return PerronData(pi=pi, residual=residual, iterations=iterations)
+    return PerronData(pi=pi, residual=residual, iterations=0)
 
 
 def _symmetric_eigvals(m: np.ndarray, tol: float) -> np.ndarray:

@@ -165,7 +165,7 @@ def derivative_at_zero(family: OperatorFamily, which: str) -> np.ndarray:
 
 def predicted_slope(family: OperatorFamily) -> float:
     """Slope of t -> rho at t = 0 for both families: -pi^T B e."""
-    return float(-(family.perron.pi @ family.B @ np.ones(family.n)))
+    return float(-(family.perron.pi @ (family.B @ np.ones(family.n))))
 
 
 def build_inpainting(mask) -> ForwardOperator:

@@ -216,7 +216,9 @@ def stability_threshold(
     """Locate the first t > 0 with rho >= 1 (zero slack) inside the scan.
 
     Scans t = eps0, eps0 + grid_step, ... <= scan_max; a crossing is
-    refined by bisection until the bracket is narrower than bisect_tol.
+    refined by bisection until the bracket is narrower than bisect_tol,
+    or until its ends are adjacent floats when bisect_tol is finer than
+    the float spacing at the crossing.
     """
     if grid_step is None:
         grid_step = scan_max / 2048.0
@@ -250,6 +252,8 @@ def stability_threshold(
             lo, hi = prev, t
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break  # lo and hi are adjacent floats: no finer bracket exists
                 if crossed(mid):
                     hi = mid
                 else:

@@ -19,7 +19,7 @@ from pnpstab.matrices import (
     validate_stochastic,
     write_matrix,
 )
-from pnpstab.operators import kernel_denoiser, make_family
+from pnpstab.operators import kernel_affinity, kernel_denoiser, make_family
 
 
 def test_accepts_permutation_matrix():
@@ -229,6 +229,17 @@ def test_perron_vector_periodic_pattern_uses_solve_fallback():
     assert data.residual <= 1e-12
     assert data.pi.min() > 0
     assert data.pi.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [5, 64, 256])
+def test_perron_vector_of_kernel_denoiser_matches_degree_closed_form(n, seed):
+    # W = D^-1 K with K symmetric is reversible, so pi = d / sum(d) for d = K e.
+    signal = np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+    d = kernel_affinity(signal, bandwidth=0.5).sum(axis=1)
+    want = d / d.sum()
+    pi = left_perron_vector(kernel_denoiser(signal, bandwidth=0.5)).pi
+    assert np.max(np.abs(pi - want) / want) <= 1e-12
 
 
 def test_perron_vector_rejects_reducible():

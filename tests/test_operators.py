@@ -54,6 +54,24 @@ def test_make_family_counterexample_slope():
     assert predicted_slope(family) == pytest.approx(1 / 30, abs=1e-12)
 
 
+def test_remark_1_6_pibe_is_minus_one_thirtieth_to_rounding():
+    # pi = (2/3, 1/3) and Be = (-3.1, 6.1), so pi^T B e = -1/30.
+    assert abs(conjecture_hypotheses(example_family("remark_1_6")).pibe + 1 / 30) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "source, key",
+    [("example", e) for e in EXAMPLE_IDS] + [(g, seed) for g in ("imaging", "general_psd") for seed in range(6)],
+)
+def test_predicted_slope_is_bitwise_minus_pibe(source, key):
+    if source == "example":
+        family = example_family(key)
+    else:
+        rng = np.random.default_rng(key)
+        family = getattr(stability, f"_{source}_instance")(rng, int(rng.integers(2, 9)))
+    assert predicted_slope(family) == -conjecture_hypotheses(family).pibe
+
+
 def test_make_family_caches_rho_b():
     family = swap_family(SWAP)
     assert family.rho_B == pytest.approx(1.0, abs=1e-12)

@@ -225,6 +225,32 @@ def test_threshold_of_blur_profile_is_two():
     assert rho(P_of(family, lo)) < 1.0 <= rho(P_of(family, hi))
 
 
+@pytest.mark.parametrize(
+    "scale, scan_max, bisect_tol, t_star",
+    [(1.0, 3.0, 1e-20, 2.0), (1e-11, 3e11, 1e-6, 2e11)],
+    ids=["tol_below_float_spacing", "default_tol_coarser_than_ulp"],
+)
+def test_threshold_bisection_stops_at_adjacent_floats(monkeypatch, scale, scan_max, bisect_tol, t_star):
+    # Neither bisect_tol can be met: one ulp is 4.4e-16 at t = 2 and 3.1e-5 at t = 2e11.
+    family = example_family("remark_1_7")
+    family = make_family(family.W, family.B * scale)
+    calls = 0
+    real = stability._first_unstable
+
+    def budgeted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("bisection did not stop within 10 000 evaluations")
+        return real(*args)
+
+    monkeypatch.setattr(stability, "_first_unstable", budgeted)
+    report = stability_threshold(family, "P", scan_max=scan_max, bisect_tol=bisect_tol)
+    lo, hi = report.bracket
+    assert np.nextafter(lo, np.inf) == hi
+    assert report.T_star == pytest.approx(t_star, rel=1e-6)
+
+
 def test_threshold_unstable_from_start():
     report = stability_threshold(counterexample_family(), "P", scan_max=0.4, eps0=1e-3, grid_step=0.01)
     assert report.classification == "unstable_from_start"
