@@ -132,18 +132,16 @@ def spectral_norm(m) -> float:
 
 
 def _lu_solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # One LAPACK getrf/getrs pair per slice of an (m, n, n) stack. Returns the
+    # One LAPACK gesv call per slice of an (m, n, n) stack. Returns the
     # solutions and the (m, n) mask of U pivots at or below 1e-13 * ||A_k||_inf.
-    # A zero pivot (getrf info > 0) is in that mask; getrs then only fills its
-    # slice with non-finite values.
+    # A zero pivot (gesv info > 0) is in that mask; gesv then skips the solve,
+    # and the slice is masked either way.
     scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a,))
+    (gesv,) = scipy.linalg.get_lapack_funcs(("gesv",), (a,))
     lu = np.empty_like(a)
     x = np.empty(a.shape[:1] + np.shape(b))
     for k in range(len(a)):
-        factor, piv, _ = getrf(a[k])
-        lu[k] = factor
-        x[k] = getrs(factor, piv, b)[0]
+        lu[k], _, x[k], _ = gesv(a[k], b)
     return x, np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= 1e-13 * scale[:, None]
 
 

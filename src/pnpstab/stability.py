@@ -185,11 +185,13 @@ def profile_to_csv(prof: StabilityProfile, path) -> None:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """First loss of stability found by a grid scan plus bisection.
+    """First loss of stability found by a grid scan plus a bracketed secant.
 
-    The classification is relative to the declared scan window: rho is not
-    monotone in t, so T_star is the first crossing at the scanned
-    resolution, not a global supremum.
+    `bracket` (lo, hi) has rho(lo) < 1 <= rho(hi) and is no wider than
+    `bisect_tol`, the maximum bracket width, unless lo and hi are adjacent
+    floats; T_star is its midpoint. The classification is relative to the
+    declared scan window: rho is not monotone in t, so T_star is the first
+    crossing at the scanned resolution, not a global supremum.
     """
 
     which: str
@@ -216,9 +218,9 @@ def stability_threshold(
     """Locate the first t > 0 with rho >= 1 (zero slack) inside the scan.
 
     Scans t = eps0, eps0 + grid_step, ... <= scan_max; a crossing is
-    refined by bisection until the bracket is narrower than bisect_tol,
-    or until its ends are adjacent floats when bisect_tol is finer than
-    the float spacing at the crossing.
+    refined by Illinois regula falsi on rho - 1 until the bracket is no
+    wider than bisect_tol, or until its ends are adjacent floats when
+    bisect_tol is finer than the float spacing at the crossing.
     """
     if grid_step is None:
         grid_step = scan_max / 2048.0
@@ -239,27 +241,42 @@ def stability_threshold(
             eps0=eps0,
         )
 
-    def crossed(t: float) -> bool:
-        return _first_unstable(family, np.array([t]), 1.0, (which,)) is not None
+    def f(t: float) -> float:
+        r = float(rho_on_grid(family, which, [t])[0])
+        if math.isnan(r):
+            raise NoConvergenceError(iterations=-1, residual=float("nan"))
+        return r - 1.0  # >= 0 exactly when rho >= 1; inf at a singular shift
 
-    if crossed(eps0):
+    prev, f_prev = eps0, f(eps0)
+    if f_prev >= 0.0:
         return report("unstable_from_start")
-    prev = eps0
     t = eps0 + grid_step
     edge = scan_max * (1.0 + 1e-12)
     while t <= edge:
-        if crossed(t):
-            lo, hi = prev, t
+        f_t = f(t)
+        if f_t >= 0.0:
+            lo, hi, f_lo, f_hi, kept = prev, t, f_prev, f_t, None  # Illinois: f of an end kept twice halves
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break  # lo and hi are adjacent floats: no finer bracket exists
-                if crossed(mid):
-                    hi = mid
+                x = mid  # while rho(hi) is a singular shift (inf), or when the secant point is not inside
+                if math.isfinite(f_hi):
+                    # Step 0.4*bisect_tol toward the farther end: no point lands on the crossing,
+                    # and a good estimate closes the bracket on the next step.
+                    x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+                    x += 0.4 * bisect_tol if hi - x > x - lo else -0.4 * bisect_tol
+                    if not lo < x < hi:
+                        x = mid
+                f_x = f(x)
+                if f_x >= 0.0:
+                    hi, f_hi, f_lo = x, f_x, f_lo * (0.5 if kept == "lo" else 1.0)
+                    kept = "lo"
                 else:
-                    lo = mid
+                    lo, f_lo, f_hi = x, f_x, f_hi * (0.5 if kept == "hi" else 1.0)
+                    kept = "hi"
             return report("stable_then_unstable", t_star=0.5 * (lo + hi), bracket=(lo, hi))
-        prev = t
+        prev, f_prev = t, f_t
         t += grid_step
     return report("stable_throughout_scan")
 

@@ -235,20 +235,104 @@ def test_threshold_bisection_stops_at_adjacent_floats(monkeypatch, scale, scan_m
     family = example_family("remark_1_7")
     family = make_family(family.W, family.B * scale)
     calls = 0
-    real = stability._first_unstable
+    real = stability.rho_on_grid
 
     def budgeted(*args):
         nonlocal calls
         calls += 1
         if calls > 10_000:
-            raise RuntimeError("bisection did not stop within 10 000 evaluations")
+            raise RuntimeError("refinement did not stop within 10 000 evaluations")
         return real(*args)
 
-    monkeypatch.setattr(stability, "_first_unstable", budgeted)
+    monkeypatch.setattr(stability, "rho_on_grid", budgeted)
     report = stability_threshold(family, "P", scan_max=scan_max, bisect_tol=bisect_tol)
     lo, hi = report.bracket
     assert np.nextafter(lo, np.inf) == hi
     assert report.T_star == pytest.approx(t_star, rel=1e-6)
+
+
+def recorded_threshold(monkeypatch, family, which, **kwargs):
+    """stability_threshold with every (t, rho) it evaluates, in call order,
+    and the number of scan points up to and including the first crossing."""
+    calls = []
+    real = stability.rho_on_grid
+
+    def recording(fam, wh, ts):
+        radii = real(fam, wh, ts)
+        calls.extend(zip(np.asarray(ts, dtype=float).tolist(), radii.tolist()))
+        return radii
+
+    monkeypatch.setattr(stability, "rho_on_grid", recording)
+    report = stability_threshold(family, which, **kwargs)
+    scan_points = next(k for k, (_, r) in enumerate(calls) if not r < 1.0) + 1
+    return report, calls, scan_points
+
+
+@pytest.mark.parametrize(
+    "family, which, kwargs",
+    [
+        (blur_family(), "P", {"scan_max": 3.0, "grid_step": 0.1875}),
+        (example_family("example_1_14_B1"), "R", {"scan_max": 20.0}),
+        (example_family("example_1_14_B2"), "R", {"scan_max": 20.0}),
+    ],
+    ids=["blur_P", "example_1_14_B1_R", "example_1_14_B2_R"],
+)
+def test_threshold_refinement_takes_at_most_six_evaluations(monkeypatch, family, which, kwargs):
+    report, calls, scan_points = recorded_threshold(monkeypatch, family, which, **kwargs)
+    assert report.classification == "stable_then_unstable"
+    # Bisection from the scan bracket to bisect_tol needed 17-18 more.
+    assert len(calls) <= scan_points + 6
+
+
+def test_threshold_bracket_ends_sit_off_the_crossing():
+    # remark_1_7 P crosses exactly at 2/rho(B) = 2.
+    family = example_family("remark_1_7")
+    report = stability_threshold(family, "P", scan_max=3.0)
+    assert abs(report.T_star - 2.0 / family.rho_B) <= 1e-9
+    assert np.all(np.abs(rho_on_grid(family, "P", report.bracket) - 1.0) >= 1e-8)
+
+
+def test_threshold_refines_past_a_singular_shift_at_hi(monkeypatch):
+    # I + tB is singular at the second scan point t = eps0 + grid_step, so
+    # the scan bracket's high end has rho = inf and the secant is undefined.
+    t_pole = 1e-4 + 0.25
+    family = make_family(validate_stochastic(W_BLUR), np.diag([-1.0 / t_pole, 10.0]))
+    report, calls, scan_points = recorded_threshold(monkeypatch, family, "R", scan_max=1.0, grid_step=0.25)
+    assert scan_points == 2 and calls[1] == (t_pole, math.inf)
+    lo, hi, f_hi_inf = 1e-4, t_pole, True
+    for t, r in calls[2:]:
+        if f_hi_inf:
+            assert t == 0.5 * (lo + hi)  # a midpoint step while hi is a singular shift
+        if r < 1.0:
+            lo = t
+        else:
+            hi, f_hi_inf = t, math.isinf(r)
+    assert report.classification == "stable_then_unstable"
+    assert report.bracket == (lo, hi) and hi - lo <= report.bisect_tol
+    r_lo, r_hi = rho_on_grid(family, "R", [lo, hi])
+    assert r_lo < 1.0 <= r_hi < math.inf
+    assert len(calls) <= scan_points + 6
+
+
+@pytest.mark.parametrize("generator", ["imaging", "general_psd"])
+def test_threshold_brackets_are_sound_on_seeded_families(generator):
+    make = stability._imaging_instance if generator == "imaging" else stability._general_psd_instance
+    crossings = 0
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 8])
+        family = make(rng, int(rng.integers(2, 9)))
+        scan_max = 6.0 / family.rho_B
+        for which in ("P", "R"):
+            report = stability_threshold(family, which, scan_max=scan_max, grid_step=scan_max / 64)
+            if report.classification != "stable_then_unstable":
+                continue
+            crossings += 1
+            lo, hi = report.bracket
+            r_lo, r_hi = rho_on_grid(family, which, [lo, hi])
+            assert r_lo < 1.0 <= r_hi
+            assert 0.0 < hi - lo <= report.bisect_tol
+            assert lo <= report.T_star <= hi
+    assert crossings >= 5  # the sweep is not vacuous
 
 
 def test_threshold_unstable_from_start():
