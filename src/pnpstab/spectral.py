@@ -116,6 +116,27 @@ def rho_stack(stack: np.ndarray) -> np.ndarray:
         return radii
 
 
+_CERT_SQUARINGS = 6  # powers k = 2, 4, ..., 64
+_CERT_NORM = 0.5  # ||M^k||_F <= 1/2 gives rho(M) <= 2^(-1/k) <= 2^(-1/64) < 0.9893
+
+
+def _certified_stable(m: np.ndarray) -> bool:
+    """True when some ||M^k||_F <= 1/2 proves rho(m) < 0.9893 without an eigensolve.
+
+    rho(M)^k = rho(M^k) <= ||M^k||_F (Gelfand; Horn & Johnson, Matrix Analysis, Thm 5.6.9),
+    so a non-normal M with ||M|| > 1 certifies once its powers decay; a non-finite power never does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_CERT_SQUARINGS):
+            m = m @ m
+            norm = np.linalg.norm(m)
+            if norm <= _CERT_NORM:
+                return True
+            if not np.isfinite(norm):
+                return False
+    return False
+
+
 def symmetric_eigenvalues(s) -> np.ndarray:
     """Ascending real eigenvalues of a matrix symmetric within 1e-9."""
     return _symmetric_eigvals(as_square_matrix(s), 1e-9)

@@ -49,7 +49,7 @@ from .operators import (
     make_family,
     predicted_slope,
 )
-from .spectral import rho_stack
+from .spectral import _certified_stable, rho_stack
 
 __all__ = [
     "StabilityProfile",
@@ -90,6 +90,16 @@ def _block_points(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // (n * n))
 
 
+def _operator_stack(family: OperatorFamily, which: str, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (m, ok): m stacks P(t) or R(t) at the t that ok masks (for R, where I + tB passes the pivot test).
+    w, b = family.W.matrix, family.B
+    if which == "P":
+        return P_stack(w, b, ts), np.ones(len(ts), dtype=bool)
+    if which == "R":
+        return R_stack(w, b, ts)
+    raise ValueError(f"which must be 'P' or 'R', got {which!r}")
+
+
 def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     """rho(P(t)) or rho(R(t)) at every t of a 1-D grid.
 
@@ -107,16 +117,11 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
         raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)) or (which == "R" and np.any(ts < 0.0)):
         raise ValueError("t must be finite, and nonnegative for R")
-    w, b = family.W.matrix, family.B
     radii = np.full(ts.size, np.inf)
     step = _block_points(family.n)
     for lo in range(0, ts.size, step):
-        block = ts[lo : lo + step]
-        if which == "P":
-            radii[lo : lo + step] = rho_stack(P_stack(w, b, block))
-        else:
-            r, ok = R_stack(w, b, block)
-            radii[lo : lo + step][ok] = rho_stack(r)
+        m, ok = _operator_stack(family, which, ts[lo : lo + step])
+        radii[lo : lo + step][ok] = rho_stack(m)
     return radii
 
 
@@ -191,7 +196,8 @@ class ThresholdReport:
     `bisect_tol`, the maximum bracket width, unless lo and hi are adjacent
     floats; T_star is its midpoint. The classification is relative to the
     declared scan window: rho is not monotone in t, so T_star is the first
-    crossing at the scanned resolution, not a global supremum.
+    crossing at the scanned resolution, not a global supremum. Scan points
+    proved stable by some ||M^k||_F <= 1/2 cost no eigensolve and change no field.
     """
 
     which: str
@@ -220,13 +226,14 @@ def stability_threshold(
     Scans t = eps0, eps0 + grid_step, ... <= scan_max; a crossing is
     refined by Illinois regula falsi on rho - 1 until the bracket is no
     wider than bisect_tol, or until its ends are adjacent floats when
-    bisect_tol is finer than the float spacing at the crossing.
+    bisect_tol is finer than the float spacing at the crossing. A scan point
+    whose M has some ||M^k||_F <= 1/2 (k = 2, 4, ..., 64) costs no eigensolve.
     """
     if grid_step is None:
         grid_step = scan_max / 2048.0
-    if not (0.0 < eps0 < grid_step < scan_max) or bisect_tol <= 0.0:
+    if not (0.0 < eps0 < grid_step < scan_max < math.inf and 0.0 < bisect_tol < math.inf):
         raise InvalidGridError(
-            f"need 0 < eps0 ({eps0}) < grid_step ({grid_step}) < scan_max ({scan_max}) and bisect_tol > 0"
+            f"need 0 < eps0 ({eps0}) < grid_step ({grid_step}) < scan_max ({scan_max}) < inf, 0 < bisect_tol < inf"
         )
 
     def report(classification, t_star=None, bracket=None):
@@ -241,20 +248,27 @@ def stability_threshold(
             eps0=eps0,
         )
 
-    def f(t: float) -> float:
-        r = float(rho_on_grid(family, which, [t])[0])
+    def f(t: float, certify: bool = False) -> float | None:
+        # rho - 1 as rho_on_grid gives it (inf at a singular shift); None if certify proves rho < 1.
+        m, ok = _operator_stack(family, which, np.array([t]))
+        if not ok[0]:
+            return math.inf
+        if certify and _certified_stable(m[0]):
+            return None
+        r = float(rho_stack(m)[0])
         if math.isnan(r):
             raise NoConvergenceError(iterations=-1, residual=float("nan"))
-        return r - 1.0  # >= 0 exactly when rho >= 1; inf at a singular shift
+        return r - 1.0
 
-    prev, f_prev = eps0, f(eps0)
-    if f_prev >= 0.0:
+    prev, f_prev = eps0, f(eps0, certify=True)
+    if f_prev is not None and f_prev >= 0.0:
         return report("unstable_from_start")
     t = eps0 + grid_step
     edge = scan_max * (1.0 + 1e-12)
     while t <= edge:
-        f_t = f(t)
-        if f_t >= 0.0:
+        f_t = f(t, certify=True)
+        if f_t is not None and f_t >= 0.0:
+            f_prev = f(prev) if f_prev is None else f_prev  # the secant needs rho where the scan certified
             lo, hi, f_lo, f_hi, kept = prev, t, f_prev, f_t, None  # Illinois: f of an end kept twice halves
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)

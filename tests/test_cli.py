@@ -56,6 +56,14 @@ def test_threshold_command_locates_blur_crossing(blur_files, tmp_path):
     assert abs(report["T_star"] - 2.0) <= 1e-3
 
 
+def test_threshold_command_rejects_nan_bisect_tol(blur_files, tmp_path):
+    w, b = blur_files
+    out = tmp_path / "threshold.json"
+    code = main(["threshold", "--w", w, "--b", b, "--which", "P", "--scan-max", "3", "--bisect-tol", "nan", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(matrix_files, tmp_path):
     w, b = matrix_files
     code = main(["threshold", "--w", w, "--b", b, "--which", "P", "--scan-max", "1", "--out", str(tmp_path / "x"), "--bogus"])

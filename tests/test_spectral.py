@@ -11,8 +11,10 @@ from pnpstab.errors import (
     SingularShiftError,
 )
 from pnpstab.matrices import validate_stochastic
-from pnpstab.operators import R_of, make_family
+from pnpstab.operators import P_of, R_of, make_family
+from pnpstab.repro import example_family
 from pnpstab.spectral import (
+    _certified_stable,
     eigenvalues,
     rho,
     rho_stack,
@@ -264,3 +266,34 @@ def test_shifted_inverse_contraction_for_psd():
         radius = 1.0 if rng.random() < 0.3 else float(rng.uniform(1.0, 5.0))
         lam = radius * np.exp(2j * np.pi * rng.random())
         assert shifted_inverse_norm(b, t, lam) <= 1.0 + 1e-10
+
+
+# -- stability certificate ----------------------------------------------------
+
+
+def test_certificate_proves_a_non_normal_matrix_stable_once_its_powers_decay():
+    m = np.array([[0.5, 10.0], [0.0, 0.5]])  # rho = 0.5, but ||M||_2 > 10
+    assert spectral_norm(m) > 1.0 and np.linalg.norm(m @ m) > 1.0
+    assert _certified_stable(m)
+
+
+def test_certificate_never_proves_a_unit_radius_stable():
+    # remark_1_3_R: W is the 2x2 swap and B = E/2, so rho(P(t)) = rho(R(t)) = 1
+    # for every t; the swap itself and the identity have rho = 1 too.
+    family = example_family("remark_1_3_R")
+    for t in (1e-4, 0.1, 0.5, 1.0, 3.0, 20.0):
+        assert not _certified_stable(P_of(family, t))
+        assert not _certified_stable(R_of(family, t))
+    assert not _certified_stable(family.W.matrix)
+    assert not _certified_stable(np.eye(3))
+
+
+def test_certificate_never_certifies_non_finite_powers():
+    assert not _certified_stable(np.array([[np.nan, 0.0], [0.0, 0.1]]))
+    assert not _certified_stable(np.array([[np.inf, 0.0], [0.0, 0.1]]))
+    # Nilpotent (rho = 0), but its square overflows.
+    huge = 1e200 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _certified_stable(huge)
+        assert not _certified_stable(np.diag([1e200, 0.1]))

@@ -8,9 +8,9 @@ from pnpstab import stability
 from pnpstab.errors import HypothesesUnmetError, InvalidGridError, NoConvergenceError, SingularShiftError
 from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
-from pnpstab.operators import P_of, R_of, build_inpainting, gram, make_family
+from pnpstab.operators import P_of, R_of, build_deblur, build_inpainting, gram, kernel_denoiser, make_family
 from pnpstab.repro import EXAMPLE_IDS, example_family
-from pnpstab.spectral import rho
+from pnpstab.spectral import rho, rho_stack
 from pnpstab.stability import (
     check_theorem_bound,
     conjecture_trial,
@@ -225,6 +225,25 @@ def test_threshold_of_blur_profile_is_two():
     assert rho(P_of(family, lo)) < 1.0 <= rho(P_of(family, hi))
 
 
+def budget_builders(monkeypatch, limit):
+    """Let stability build P(t) or R(t) stacks at most `limit` times in all;
+    the next build raises, so a scan or refinement that never stops fails fast."""
+    calls = 0
+
+    def budgeted(real):
+        def build(*args):
+            nonlocal calls
+            calls += 1
+            if calls > limit:
+                raise RuntimeError(f"more than {limit} operator builds")
+            return real(*args)
+
+        return build
+
+    for name in ("P_stack", "R_stack"):
+        monkeypatch.setattr(stability, name, budgeted(getattr(stability, name)))
+
+
 @pytest.mark.parametrize(
     "scale, scan_max, bisect_tol, t_star",
     [(1.0, 3.0, 1e-20, 2.0), (1e-11, 3e11, 1e-6, 2e11)],
@@ -234,17 +253,7 @@ def test_threshold_bisection_stops_at_adjacent_floats(monkeypatch, scale, scan_m
     # Neither bisect_tol can be met: one ulp is 4.4e-16 at t = 2 and 3.1e-5 at t = 2e11.
     family = example_family("remark_1_7")
     family = make_family(family.W, family.B * scale)
-    calls = 0
-    real = stability.rho_on_grid
-
-    def budgeted(*args):
-        nonlocal calls
-        calls += 1
-        if calls > 10_000:
-            raise RuntimeError("refinement did not stop within 10 000 evaluations")
-        return real(*args)
-
-    monkeypatch.setattr(stability, "rho_on_grid", budgeted)
+    budget_builders(monkeypatch, 10_000)
     report = stability_threshold(family, "P", scan_max=scan_max, bisect_tol=bisect_tol)
     lo, hi = report.bracket
     assert np.nextafter(lo, np.inf) == hi
@@ -252,19 +261,30 @@ def test_threshold_bisection_stops_at_adjacent_floats(monkeypatch, scale, scan_m
 
 
 def recorded_threshold(monkeypatch, family, which, **kwargs):
-    """stability_threshold with every (t, rho) it evaluates, in call order,
-    and the number of scan points up to and including the first crossing."""
-    calls = []
-    real = stability.rho_on_grid
+    """stability_threshold with every (t, rho) it eigensolves, in call order,
+    and the number of those points up to and including the first crossing.
 
-    def recording(fam, wh, ts):
-        radii = real(fam, wh, ts)
-        calls.extend(zip(np.asarray(ts, dtype=float).tolist(), radii.tolist()))
+    A singular shift of R is recorded as rho = inf; points that a power of
+    the operator proved stable cost no eigensolve and are left out.
+    """
+    points = []
+    build, eigensolve = getattr(stability, f"{which}_stack"), stability.rho_stack
+
+    def building(w, b, ts):  # the threshold builds one t at a time
+        out = build(w, b, ts)
+        points.append([float(ts[0]), math.inf if which == "R" and not out[1][0] else None])
+        return out
+
+    def eigensolving(stack):
+        radii = eigensolve(stack)
+        points[-1][1] = float(radii[0])
         return radii
 
-    monkeypatch.setattr(stability, "rho_on_grid", recording)
+    monkeypatch.setattr(stability, f"{which}_stack", building)
+    monkeypatch.setattr(stability, "rho_stack", eigensolving)
     report = stability_threshold(family, which, **kwargs)
-    scan_points = next(k for k, (_, r) in enumerate(calls) if not r < 1.0) + 1
+    calls = [(t, r) for t, r in points if r is not None]
+    scan_points = next((k + 1 for k, (_, r) in enumerate(calls) if not r < 1.0), len(calls))
     return report, calls, scan_points
 
 
@@ -353,12 +373,103 @@ def test_threshold_rejects_bad_grid():
         stability_threshold(blur_family(), "P", scan_max=1.0, bisect_tol=0.0)
 
 
+def test_threshold_rejects_nan_bisect_tol():
+    # A NaN bracket width skipped the refinement: the raw scan bracket came
+    # back and NaN went into the JSON report.
+    with pytest.raises(InvalidGridError):
+        stability_threshold(blur_family(), "P", scan_max=3.0, bisect_tol=math.nan)
+
+
+def test_threshold_rejects_infinite_scan_max_before_scanning(monkeypatch):
+    # R of a kernel denoiser with B = I is stable for every t, so a scan up
+    # to scan_max = inf with an explicit grid_step never ended.
+    budget_builders(monkeypatch, 1000)
+    family = make_family(kernel_denoiser(np.linspace(0.0, 1.0, 5), 0.5), np.eye(5))
+    with pytest.raises(InvalidGridError):
+        stability_threshold(family, "R", scan_max=math.inf, grid_step=0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("param", ["scan_max", "grid_step", "eps0", "bisect_tol"])
+def test_threshold_rejects_non_finite_parameters(monkeypatch, param, value):
+    budget_builders(monkeypatch, 1000)
+    kwargs = {"scan_max": 3.0, "grid_step": 0.5, "eps0": 1e-4, "bisect_tol": 1e-6, param: value}
+    with pytest.raises(InvalidGridError):
+        stability_threshold(blur_family(), "P", **kwargs)
+
+
 def test_threshold_json_fields():
     report = stability_threshold(blur_family(), "P", scan_max=3.0)
     d = report.to_json_dict()
     assert set(d) == {"which", "classification", "T_star", "bracket", "bisect_tol", "scan_max", "grid_step", "eps0"}
     assert d["which"] == "P"
     assert d["bracket"][0] < d["bracket"][1]
+
+
+# -- the stability certificate of the threshold scan ---------------------------
+
+
+def seeded_family(generator, seed, n_max):
+    make = stability._imaging_instance if generator == "imaging" else stability._general_psd_instance
+    rng = np.random.default_rng([seed, 10])
+    return make(rng, int(rng.integers(2, n_max + 1)))
+
+
+@pytest.mark.parametrize("generator", ["imaging", "general_psd"])
+def test_certified_slices_have_radius_below_the_certified_bound(generator):
+    certified = 0
+    for seed in range(30):
+        family = seeded_family(generator, seed, 30)
+        ts = np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]
+        for which in ("P", "R"):
+            stack, _ = stability._operator_stack(family, which, ts)
+            radii = rho_stack(stack)
+            for m, r in zip(stack, radii):
+                if stability._certified_stable(m):
+                    certified += 1
+                    assert r < 2.0 ** (-1.0 / 64.0)
+    assert certified >= 1000  # the sweep is not vacuous
+
+
+def assert_certificate_changes_no_report(monkeypatch, family, scan_max):
+    for which in ("P", "R"):
+        for grid_step in (None, 0.1875):
+            if grid_step is not None and grid_step >= scan_max:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_certified_stable", lambda m: False)  # certify nothing
+                want = stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step)
+            assert stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step) == want
+
+
+@pytest.mark.parametrize("generator", ["imaging", "general_psd"])
+def test_certificate_changes_no_threshold_report_on_seeded_families(monkeypatch, generator):
+    for seed in range(20):
+        family = seeded_family(generator, seed, 24)
+        assert_certificate_changes_no_report(monkeypatch, family, 6.0 / family.rho_B)
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_certificate_changes_no_threshold_report_on_examples(monkeypatch, example):
+    assert_certificate_changes_no_report(monkeypatch, example_family(example), 20.0)
+
+
+def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
+    # A kernel denoiser with a 3-tap circular blur, as the imaging-large benchmark
+    # builds at n = 256 and 400. Without the certificate the scan eigensolves
+    # every point: 14 for P and 16 for R.
+    n = 64
+    rng = np.random.default_rng([801, n])
+    w = kernel_denoiser(rng.uniform(0.0, 1.0, size=n), bandwidth=0.5)
+    family = make_family(w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), n)))
+    for which, classification, most in [
+        ("P", "stable_then_unstable", 5),  # eps0, the crossing, the point before it, two secant points
+        ("R", "stable_throughout_scan", 1),  # eps0, where rho(R) is within 1e-4 of 1
+    ]:
+        with monkeypatch.context() as m:
+            report, calls, _ = recorded_threshold(m, family, which, scan_max=3.0, grid_step=0.1875)
+        assert report.classification == classification
+        assert len(calls) <= most
 
 
 def test_reference_thresholds_for_r():
