@@ -29,21 +29,16 @@ from .operators import (
     build_inpainting,
     build_superres,
     conjecture_hypotheses,
-    derivative_at_zero,
     gram,
     kernel_denoiser,
     make_family,
     predicted_slope,
 )
-from .pnp import InverseProblem, IterationTrace, affine_iterate, empirical_rate, fixed_point, pgd_pnp_run
+from .pnp import InverseProblem, IterationTrace, empirical_rate, pgd_pnp_run
 from .spectral import (
-    SpectralSummary,
-    Spectrum,
     eigenvalues,
     rho,
     solve_linear,
-    spectral_norm,
-    spectral_radius,
     symmetric_eigenvalues,
 )
 from .stability import (

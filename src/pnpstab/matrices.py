@@ -76,7 +76,8 @@ class PerronData:
 
     Normalized so pi @ e = 1, with residual = max-norm of pi @ W - pi.
     `iterations` is always 0: pi comes from one direct solve, not an
-    iteration. The field is kept for callers that still read it.
+    iteration. It stays because the benchmark's trace probe for
+    `left_perron_vector` (`perfbench/tracing.py`) reads it.
     """
 
     pi: np.ndarray
@@ -231,20 +232,20 @@ def read_matrix(path) -> np.ndarray:
             lines.append(line)
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: header must be `rows cols`")
-    rows, cols = int(header[0]), int(header[1])
+    try:
+        rows, cols = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"{path}: header must be `rows cols`") from None
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: dimensions must be positive")
     if len(lines) - 1 != rows:
         raise ValueError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
-    data = []
-    for k, line in enumerate(lines[1:]):
-        row = [float(tok) for tok in line.split()]
-        if len(row) != cols:
-            raise ValueError(f"{path}: row {k} has {len(row)} entries, expected {cols}")
-        data.append(row)
+    try:
+        data = np.loadtxt(lines[1:], ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if data.shape[1] != cols:
+        raise ValueError(f"{path}: rows have {data.shape[1]} entries, expected {cols}")
     return as_matrix(data)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "R_of",
     "P_stack",
     "R_stack",
-    "derivative_at_zero",
     "predicted_slope",
     "build_inpainting",
     "build_deblur",
@@ -153,16 +152,6 @@ def R_of(family: OperatorFamily, t: float) -> np.ndarray:
     return r[0]
 
 
-def derivative_at_zero(family: OperatorFamily, which: str) -> np.ndarray:
-    """d/dt at t=0: -WB for the P family, -B(2W - I) for the R family."""
-    w = family.W.matrix
-    if which == "P":
-        return -(w @ family.B)
-    if which == "R":
-        return -(family.B @ (2.0 * w - np.eye(family.n)))
-    raise ValueError(f"which must be 'P' or 'R', got {which!r}")
-
-
 def predicted_slope(family: OperatorFamily) -> float:
     """Slope of t -> rho at t = 0 for both families: -pi^T B e."""
     return float(-(family.perron.pi @ (family.B @ np.ones(family.n))))
@@ -219,38 +208,29 @@ def gram(a: ForwardOperator) -> np.ndarray:
     return (b + b.T) / 2.0
 
 
-def kernel_affinity(signal, bandwidth: float, spatial_sigma: float | None = None) -> np.ndarray:
+def kernel_affinity(signal, bandwidth: float) -> np.ndarray:
     """Gaussian affinity matrix K over signal intensities.
 
-    K_ij = exp(-(s_i - s_j)^2 / (2 h^2)), optionally windowed by a
-    Gaussian in pixel distance. K is symmetric, strictly positive on the
-    diagonal, and positive semidefinite.
+    K_ij = exp(-(s_i - s_j)^2 / (2 h^2)). K is symmetric, strictly positive
+    on the diagonal, and positive semidefinite.
     """
     s = np.asarray(signal, dtype=float).ravel()
-    n = s.size
-    if n < 2:
+    if s.size < 2:
         raise ValueError("signal must have length >= 2")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     d2 = (s[:, None] - s[None, :]) ** 2
-    k = np.exp(-d2 / (2.0 * bandwidth**2))
-    if spatial_sigma is not None:
-        if spatial_sigma <= 0:
-            raise ValueError("spatial_sigma must be positive")
-        idx = np.arange(n, dtype=float)
-        p2 = (idx[:, None] - idx[None, :]) ** 2
-        k *= np.exp(-p2 / (2.0 * spatial_sigma**2))
-    return k
+    return np.exp(-d2 / (2.0 * bandwidth**2))
 
 
-def kernel_denoiser(signal, bandwidth: float, spatial_sigma: float | None = None) -> StochasticMatrix:
+def kernel_denoiser(signal, bandwidth: float) -> StochasticMatrix:
     """Row-normalized Gaussian affinity denoiser W.
 
     Strict positivity of the affinities makes W stochastic and primitive.
     Raises DegenerateBandwidthError when the bandwidth is so small that a
     row's off-diagonal weights underflow to zero (W would collapse to I).
     """
-    k = kernel_affinity(signal, bandwidth, spatial_sigma)
+    k = kernel_affinity(signal, bandwidth)
     off = k.sum(axis=1) - np.diag(k)
     if np.any(off < 1e-300):
         raise DegenerateBandwidthError(f"bandwidth {bandwidth} underflows off-diagonal affinities")

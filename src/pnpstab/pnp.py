@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, SingularMatrixError
-from .matrices import StochasticMatrix, as_matrix, as_square_matrix
+from .matrices import StochasticMatrix, as_matrix
 from .operators import ForwardOperator, P_stack, gram
 from .spectral import solve_linear
 
@@ -23,8 +23,6 @@ __all__ = [
     "IterationTrace",
     "affine_map",
     "pgd_pnp_run",
-    "fixed_point",
-    "affine_iterate",
     "empirical_rate",
     "trace_to_csv",
 ]
@@ -55,12 +53,12 @@ class InverseProblem:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """History of one affine iteration run.
+    """History of one PnP iteration run.
 
     error_norms holds ||x_k - x*||_2 when a fixed point is known (empty
-    otherwise); loss_values holds 0.5 ||A x_k - b||^2 for runs that carry
-    a forward model. estimated_rate is the geometric-mean error ratio over
-    the final quartile, or None when the trace cannot support it.
+    otherwise); loss_values holds 0.5 ||A x_k - b||^2 at every iterate.
+    estimated_rate is the geometric-mean error ratio over the final
+    quartile, or None when the trace cannot support it.
     """
 
     iterates_kept: int
@@ -71,11 +69,11 @@ class IterationTrace:
     final_x: np.ndarray
 
 
-def _iterate(m, c, x0, max_iter, tol, x_star, loss=None):
+def _iterate(m, c, x0, max_iter, tol, x_star, loss):
     x = np.asarray(x0, dtype=float).ravel().copy()
     kept = 1
     errors = [] if x_star is None else [float(np.linalg.norm(x - x_star))]
-    losses = [] if loss is None else [loss(x)]
+    losses = [loss(x)]
     converged = False
     for _ in range(max_iter):
         x_next = m @ x + c
@@ -84,8 +82,7 @@ def _iterate(m, c, x0, max_iter, tol, x_star, loss=None):
         kept += 1
         if x_star is not None:
             errors.append(float(np.linalg.norm(x - x_star)))
-        if loss is not None:
-            losses.append(loss(x))
+        losses.append(loss(x))
         if step <= tol * (1.0 + float(np.linalg.norm(x))):
             converged = True
             break
@@ -131,31 +128,7 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
         r = problem.A.A @ x - problem.b
         return 0.5 * float(r @ r)
 
-    return _iterate(p, c, x0, max_iter, tol, x_star, loss=loss)
-
-
-def fixed_point(problem: InverseProblem) -> np.ndarray:
-    """Solve (I - P(t)) x = t W A^T b; the limit of the iteration when stable."""
-    p, c = affine_map(problem)
-    return solve_linear(np.eye(problem.W.n) - p, c)
-
-
-def affine_iterate(m, c, x0, max_iter: int = 1000, tol: float = 1e-10) -> IterationTrace:
-    """Generic driver for x <- M x + c with the same stopping rule.
-
-    The reference point for error norms is (I - M)^{-1} c when that solve
-    succeeds, or 0 when M is singular-shifted but c = 0; otherwise error
-    norms are not recorded.
-    """
-    m = as_square_matrix(m)
-    c = np.asarray(c, dtype=float).ravel()
-    if c.size != m.shape[0]:
-        raise ValueError(f"offset has length {c.size} but M is {m.shape[0]}x{m.shape[0]}")
-    try:
-        x_star = solve_linear(np.eye(m.shape[0]) - m, c)
-    except SingularMatrixError:
-        x_star = np.zeros(m.shape[0]) if not c.any() else None
-    return _iterate(m, c, x0, max_iter, tol, x_star)
+    return _iterate(p, c, x0, max_iter, tol, x_star, loss)
 
 
 def empirical_rate_from_errors(errors: np.ndarray) -> float:

@@ -134,7 +134,7 @@ def _bool_check(name, predicate_fn) -> CheckResult:
 
 def _eig_check(name, matrix_fn, expected, tolerance=1e-12) -> CheckResult:
     def err():
-        vals = np.sort_complex(eigenvalues(matrix_fn()).values)
+        vals = np.sort_complex(eigenvalues(matrix_fn()))
         want = np.sort_complex(np.asarray(expected, dtype=complex))
         return float(np.max(np.abs(vals - want)))
 

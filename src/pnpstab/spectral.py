@@ -1,4 +1,4 @@
-"""Dense eigensolution, spectral radius/norm, and pivot-checked linear solves.
+"""Dense eigensolution, spectral radius, and pivot-checked linear solves.
 
 Backed by LAPACK via numpy/scipy. `rho` and `solve_linear` are the
 one-matrix cases of `rho_stack` and `solve_stack`. Complex arithmetic is
@@ -8,8 +8,6 @@ real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -17,42 +15,19 @@ from .errors import NoConvergenceError, SingularMatrixError
 from .matrices import _symmetric_eigvals, as_square_matrix
 
 __all__ = [
-    "Spectrum",
-    "SpectralSummary",
     "eigenvalues",
-    "spectral_radius",
     "rho",
     "rho_stack",
     "symmetric_eigenvalues",
-    "spectral_norm",
     "solve_linear",
     "solve_stack",
     "shifted_inverse_norm",
 ]
 
-_EPS = np.finfo(float).eps
 
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues of a real square matrix, sorted by (re, im)."""
-
-    values: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    radius: float
-    dominant: complex
-    gap: float
-
-
-def eigenvalues(m) -> Spectrum:
-    """Full spectrum of a real square matrix."""
+def eigenvalues(m) -> np.ndarray:
+    """Full spectrum of a real square matrix, sorted by (re, im), as a
+    read-only array (complex unless every eigenvalue is real)."""
     a = as_square_matrix(m)
     try:
         vals = np.linalg.eigvals(a)
@@ -61,28 +36,7 @@ def eigenvalues(m) -> Spectrum:
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vals.setflags(write=False)
-    return Spectrum(values=vals)
-
-
-def spectral_radius(m) -> SpectralSummary:
-    """Spectral radius with the dominant eigenvalue and modulus gap.
-
-    Ties on the radius are broken by largest real part, then nonnegative
-    imaginary part.
-    """
-    spec = eigenvalues(m)
-    moduli = np.abs(spec.values)
-    radius = float(moduli.max())
-    # Among (near-)maximal moduli pick the tie-break representative.
-    near = np.flatnonzero(moduli >= radius * (1.0 - 4.0 * _EPS))
-    candidates = sorted(
-        (complex(spec.values[i]) for i in near),
-        key=lambda z: (-z.real, -z.imag),
-    )
-    dominant = candidates[0]
-    rest = np.sort(moduli)[:-1]
-    second = float(rest[-1]) if rest.size else 0.0
-    return SpectralSummary(radius=radius, dominant=dominant, gap=radius - second)
+    return vals
 
 
 def rho(m) -> float:
@@ -140,16 +94,6 @@ def _certified_stable(m: np.ndarray) -> bool:
 def symmetric_eigenvalues(s) -> np.ndarray:
     """Ascending real eigenvalues of a matrix symmetric within 1e-9."""
     return _symmetric_eigvals(as_square_matrix(s), 1e-9)
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value, i.e. sqrt(max eigenvalue of M^T M)."""
-    a = np.asarray(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
 
 
 def _lu_solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

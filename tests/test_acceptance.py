@@ -50,9 +50,9 @@ def test_criterion_01_closed_form_eigenvalues():
     family_r = make_family(validate_stochastic(SWAP), HALF_E)
     ok = True
     for t in (0.1, 0.5, 1.0, 3.0):
-        got_p = _sorted_real(eigenvalues(P_of(family_p, t)).values)
+        got_p = _sorted_real(eigenvalues(P_of(family_p, t)))
         ok &= np.max(np.abs(got_p - np.sort([1.0 - t, -(1.0 + t)]))) <= 1e-12
-        got_r = _sorted_real(eigenvalues(R_of(family_r, t)).values)
+        got_r = _sorted_real(eigenvalues(R_of(family_r, t)))
         ok &= np.max(np.abs(got_r - np.sort([-1.0, 1.0 / (t + 1.0)]))) <= 1e-12
     _verdict(1, "closed-form eigenvalues of P(t) and R(t) at t in {0.1,0.5,1,3} (1e-12)", ok)
 

@@ -78,6 +78,18 @@ def test_missing_matrix_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_malformed_matrix_file_exits_2(tmp_path, capsys):
+    w_path = tmp_path / "w.txt"
+    w_path.write_text("2 2\n0.5 0.5\n1\n")
+    code = main(
+        ["profile", "--w", str(w_path), "--b", str(w_path),
+         "--tmin", "0", "--tmax", "1", "--steps", "5", "--out", str(tmp_path / "out.csv")]
+    )
+    assert code == 2
+    assert str(w_path) in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_invalid_stochastic_file_exits_2(tmp_path):
     w_path = tmp_path / "w.txt"
     write_matrix(w_path, np.array([[0.5, 0.6], [0.5, 0.4]]))

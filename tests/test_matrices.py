@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -343,4 +344,24 @@ def test_matrix_file_rejects_ragged_row(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 2\n3\n")
     with pytest.raises(ValueError):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("# only a comment\n\n", id="empty"),
+        pytest.param("2 2 2\n1 2\n3 4\n", id="bad_header"),
+        pytest.param("2 two\n1 2\n3 4\n", id="non_integer_header"),
+        pytest.param("0 2\n", id="non_positive_dimensions"),
+        pytest.param("3 2\n1 2\n3 4\n", id="wrong_row_count"),
+        pytest.param("2 2\n1 2\n3\n", id="ragged_row"),
+        pytest.param("2 2\n1 2 3\n4 5 6\n", id="rows_too_wide"),
+        pytest.param("2 2\n1 x\n3 4\n", id="non_numeric_entry"),
+    ],
+)
+def test_malformed_matrix_file_error_names_the_path(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         read_matrix(path)

@@ -26,7 +26,6 @@ from pnpstab.operators import (
     build_inpainting,
     build_superres,
     conjecture_hypotheses,
-    derivative_at_zero,
     gram,
     kernel_affinity,
     kernel_denoiser,
@@ -136,13 +135,17 @@ def test_R_never_singular_for_psd_b():
 
 
 def test_derivative_of_P_for_swap_pair():
+    # P(t) = W - tWB is affine in t, so P(1) - P(0) is dP/dt = -WB = -I
     family = swap_family(SWAP)
-    np.testing.assert_array_equal(derivative_at_zero(family, "P"), -np.eye(2))
+    np.testing.assert_array_equal(P_of(family, 1.0) - P_of(family, 0.0), -np.eye(2))
 
 
 def test_derivative_of_R_for_swap_half_e():
+    # B = E/2 is a projector, so (I + hB)^{-1} = I - h/(1+h) B and
+    # (R(h) - R(0)) / h = -B(2W - I)/(1+h) = -B/(1+h), tending to -B(2W - I)
     family = swap_family(HALF_E)
-    np.testing.assert_allclose(derivative_at_zero(family, "R"), -HALF_E, atol=1e-15)
+    for h in (1e-6, 0.5, 2.0):
+        np.testing.assert_allclose((R_of(family, h) - R_of(family, 0.0)) / h, -HALF_E / (1.0 + h), atol=1e-9)
 
 
 def test_P_is_affine_in_t():
@@ -155,7 +158,7 @@ def test_P_is_affine_in_t():
         t = float(rng.uniform(0, 2))
         np.testing.assert_allclose(
             P_of(family, t),
-            P_of(family, 0.0) + t * derivative_at_zero(family, "P"),
+            P_of(family, 0.0) - t * (family.W.matrix @ family.B),
             rtol=0,
             atol=1e-14,
         )
@@ -309,9 +312,8 @@ def test_kernel_denoiser_rejects_degenerate_bandwidth():
 
 def test_kernel_affinity_is_psd():
     rng = np.random.default_rng(6)
-    for spatial in (None, 3.0):
-        k = kernel_affinity(rng.uniform(0, 1, size=8), bandwidth=0.5, spatial_sigma=spatial)
-        assert is_positive_semidefinite(k, tol=1e-10)
+    k = kernel_affinity(rng.uniform(0, 1, size=8), bandwidth=0.5)
+    assert is_positive_semidefinite(k, tol=1e-10)
 
 
 def test_conjecture_hypotheses_subsampled_case_fails_be_bound():

@@ -6,22 +6,28 @@ from pnpstab.matrices import validate_stochastic
 from pnpstab.operators import ForwardOperator, build_inpainting, gram, kernel_denoiser
 from pnpstab.pnp import (
     InverseProblem,
-    affine_iterate,
+    IterationTrace,
+    affine_map,
     empirical_rate,
-    fixed_point,
     pgd_pnp_run,
     trace_to_csv,
 )
-from pnpstab.spectral import rho
-from pnpstab.operators import R_of, make_family
-
-W_BLUR = np.array([[0.3, 0.7], [0.6, 0.4]])
-H_BLUR = np.array([[0.913, 0.087], [0.087, 0.913]])
+from pnpstab.spectral import rho, solve_linear
 
 
 def _sqrt_psd(b):
     vals, vecs = np.linalg.eigh(b)
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def fixed_point(problem):
+    p, c = affine_map(problem)
+    return solve_linear(np.eye(problem.W.n) - p, c)
+
+
+def geometric_trace(ratio, steps, start=1.0):
+    errors = start * ratio ** np.arange(steps + 1.0)
+    return IterationTrace(steps + 1, errors, np.empty(0), None, False, np.zeros(1))
 
 
 def inpainting_problem(seed=0, n=4, mask=(1, 1, 0, 1), t=1.0):
@@ -99,7 +105,7 @@ def test_fixed_point_of_zero_observation_is_zero():
     np.testing.assert_allclose(fixed_point(zero_problem), np.zeros(4), atol=1e-15)
 
 
-def test_fixed_point_singular_when_be_is_zero():
+def test_run_without_fixed_point_records_losses_only():
     # A e = 0 forces B e = 0, so 1 is an eigenvalue of P(t)
     a = np.array([[1.0, -1.0], [0.0, 0.0]])
     rng = np.random.default_rng(7)
@@ -108,37 +114,15 @@ def test_fixed_point_singular_when_be_is_zero():
     problem = InverseProblem(A=ForwardOperator(A=a, kind="custom"), b=np.array([1.0, 0.0]), W=w, t=0.7)
     with pytest.raises(SingularMatrixError):
         fixed_point(problem)
-
-
-def test_affine_iterate_converges_for_stable_r():
-    family = make_family(validate_stochastic(W_BLUR), H_BLUR.T @ H_BLUR)
-    m = R_of(family, 2.5)
-    trace = affine_iterate(m, np.zeros(2), x0=np.array([0.7, -0.3]), max_iter=2000, tol=1e-12)
-    assert trace.converged
-    np.testing.assert_allclose(trace.final_x, np.zeros(2), atol=1e-9)
-
-
-def test_affine_iterate_zero_map_reaches_offset_in_one_step():
-    c = np.array([1.0, 2.0, 3.0])
-    trace = affine_iterate(np.zeros((3, 3)), c, x0=np.array([5.0, -1.0, 0.0]), max_iter=10, tol=1e-12)
-    assert trace.converged
-    np.testing.assert_array_equal(trace.final_x, c)
-
-
-def test_affine_iterate_radius_one_plateaus():
-    w = validate_stochastic([[0.0, 1.0], [1.0, 0.0]])
-    family = make_family(w, np.ones((2, 2)) / 2)
-    m = R_of(family, 1.5)  # eigenvalues -1 and 1/(t+1): radius exactly 1
-    trace = affine_iterate(m, np.zeros(2), x0=np.array([0.9, 0.1]), max_iter=200, tol=1e-12)
-    assert not trace.converged
-    tail = trace.error_norms[-20:]
-    assert tail.min() > 0.1
-    assert tail.max() - tail.min() <= 1e-9
+    trace = pgd_pnp_run(problem, x0=np.zeros(2), max_iter=200, tol=1e-12)
+    assert trace.error_norms.size == 0
+    assert trace.estimated_rate is None
+    assert trace.loss_values.size == trace.iterates_kept
 
 
 def test_empirical_rate_exact_for_scaled_identity():
     alpha = 0.8
-    trace = affine_iterate(alpha * np.eye(3), np.zeros(3), x0=np.array([1.0, -2.0, 0.5]), max_iter=60, tol=0.0)
+    trace = geometric_trace(alpha, 60, start=np.linalg.norm([1.0, -2.0, 0.5]))
     assert empirical_rate(trace) == pytest.approx(alpha, abs=1e-10)
 
 
@@ -151,13 +135,13 @@ def test_empirical_rate_matches_spectral_radius_on_slow_run():
 
 
 def test_empirical_rate_needs_enough_points():
-    trace = affine_iterate(0.5 * np.eye(2), np.zeros(2), x0=np.ones(2), max_iter=5, tol=0.0)
+    trace = geometric_trace(0.5, 5)
     with pytest.raises(InsufficientDataError):
         empirical_rate(trace)
 
 
 def test_empirical_rate_rejects_bottomed_out_traces():
-    trace = affine_iterate(0.01 * np.eye(2), np.zeros(2), x0=np.ones(2), max_iter=300, tol=0.0)
+    trace = geometric_trace(0.01, 300)
     with pytest.raises(InsufficientDataError):
         empirical_rate(trace)
 
