@@ -20,7 +20,6 @@ from .matrices import (
 )
 from .operators import (
     ConjectureHypotheses,
-    ForwardOperator,
     OperatorFamily,
     P_of,
     R_of,

@@ -94,6 +94,12 @@ def _load_family(w_path: str, b_path: str):
     return make_family(validate_stochastic(read_matrix(w_path)), read_matrix(b_path))
 
 
+def _write_jsonl(path, records) -> None:
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
 def _cmd_profile(args) -> int:
     family = _load_family(args.w, args.b)
     prof = profile(family, args.tmin, args.tmax, args.steps)
@@ -130,10 +136,7 @@ def _cmd_check(args) -> int:
         base_seed=args.seed,
         grid_steps=args.grid_steps,
     )
-    with open(args.out, "w") as fh:
-        for r in results:
-            fh.write(json.dumps(r.to_json_dict()) + "\n")
-        fh.write(json.dumps(summary) + "\n")
+    _write_jsonl(args.out, [r.to_json_dict() for r in results] + [summary])
     print(f"suite {args.suite}: {summary['passed']}/{summary['trials']} instances passed")
     return 0 if summary["failed"] == 0 else 1
 
@@ -146,10 +149,7 @@ def _cmd_fuzz(args) -> int:
         base_seed=args.seed,
         workers=args.workers,
     )
-    with open(args.out, "w") as fh:
-        for r in results:
-            fh.write(json.dumps(r.to_json_dict()) + "\n")
-        fh.write(json.dumps(summary.to_json_dict()) + "\n")
+    _write_jsonl(args.out, [r.to_json_dict() for r in results] + [summary.to_json_dict()])
     print(
         f"fuzz: {summary.trials} trials, {summary.passes} pass, "
         f"{summary.hypotheses_unmet} hypotheses_unmet, {summary.violations} violations"
@@ -171,7 +171,7 @@ def _cmd_pnp(args) -> int:
     else:
         op = build_superres(build_deblur(random_blur_kernel(rng, n), n), stride=2)
     x_true = rng.uniform(0.0, 1.0, size=n)
-    problem = InverseProblem(A=op, b=op.A @ x_true, W=w, t=args.t)
+    problem = InverseProblem(A=op, b=op @ x_true, W=w, t=args.t)
     trace = pgd_pnp_run(problem, x0=np.zeros(n), max_iter=args.max_iter, tol=args.tol)
     trace_to_csv(trace, args.out)
     radius = rho(affine_map(problem)[0])

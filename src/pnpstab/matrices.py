@@ -166,17 +166,15 @@ def structure(w: StochasticMatrix) -> StructureReport:
     )
 
 
-def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13) -> PerronData:
+def left_perron_vector(w: StochasticMatrix) -> PerronData:
     """Left Perron vector of an irreducible stochastic matrix.
 
     One direct solve of (W^T - I) pi = 0 with the last equation replaced
     by sum(pi) = 1, which is nonsingular whenever 1 is a simple eigenvalue
     (irreducible W; Stewart, Introduction to the Numerical Solution of
     Markov Chains, 1994). The result is accepted only if its residual is
-    at most tol and every entry is positive; otherwise NoConvergenceError.
+    at most 1e-13 and every entry is positive; otherwise NoConvergenceError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = w.matrix
     if _irreducible_levels(m > 0.0) is None:
         raise NotIrreducibleError("nonzero pattern is not strongly connected")
@@ -187,7 +185,7 @@ def left_perron_vector(w: StochasticMatrix, tol: float = 1e-13) -> PerronData:
     pi = np.linalg.solve(a, rhs)
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ m - pi)))
-    if not (residual <= tol and pi.min() > 0.0):  # also rejects a NaN pi
+    if not (residual <= 1e-13 and pi.min() > 0.0):  # also rejects a NaN pi
         raise NoConvergenceError(0, residual)
     pi.setflags(write=False)
     return PerronData(pi=pi, residual=residual, iterations=0)
@@ -246,7 +244,10 @@ def read_matrix(path) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
     if data.shape[1] != cols:
         raise ValueError(f"{path}: rows have {data.shape[1]} entries, expected {cols}")
-    return as_matrix(data)
+    try:
+        return as_matrix(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_matrix(path, m) -> None:

@@ -39,7 +39,6 @@ from .spectral import rho, solve_stack, symmetric_eigenvalues
 
 __all__ = [
     "OperatorFamily",
-    "ForwardOperator",
     "ConjectureHypotheses",
     "make_family",
     "P_of",
@@ -72,14 +71,6 @@ class OperatorFamily:
     @property
     def n(self) -> int:
         return self.W.n
-
-
-@dataclass(frozen=True)
-class ForwardOperator:
-    """Imaging measurement matrix A and the kind of model that built it."""
-
-    A: np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -157,17 +148,17 @@ def predicted_slope(family: OperatorFamily) -> float:
     return float(-(family.perron.pi @ (family.B @ np.ones(family.n))))
 
 
-def build_inpainting(mask) -> ForwardOperator:
+def build_inpainting(mask) -> np.ndarray:
     """A = diag(mask) for a 0/1 observation mask."""
     mask = np.asarray(mask, dtype=float).ravel()
     if mask.size == 0 or not np.all(np.isin(mask, (0.0, 1.0))):
         raise ValueError("mask must be a nonempty 0/1 vector")
     if not mask.any():
         raise AllZeroMaskError("mask keeps no pixels")
-    return ForwardOperator(A=np.diag(mask), kind="inpainting")
+    return np.diag(mask)
 
 
-def build_deblur(kernel, n: int) -> ForwardOperator:
+def build_deblur(kernel, n: int) -> np.ndarray:
     """Circulant blur H whose first row is the normalized kernel.
 
     The kernel is zero-padded to length n and normalized to sum 1, so H is
@@ -185,26 +176,23 @@ def build_deblur(kernel, n: int) -> ForwardOperator:
     first_row = np.zeros(n)
     first_row[: kernel.size] = kernel / total
     cols = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    h = first_row[cols]
-    return ForwardOperator(A=h, kind="deblurring")
+    return first_row[cols]
 
 
-def build_superres(h: ForwardOperator, stride: int) -> ForwardOperator:
+def build_superres(h: np.ndarray, stride: int) -> np.ndarray:
     """A = S H, keeping every stride-th row of the blur starting at row 0."""
-    if h.kind != "deblurring":
-        raise ValueError("superresolution subsamples a deblurring operator")
-    n = h.A.shape[0]
+    n = h.shape[0]
     if stride < 1:
         raise EmptySelectionError("stride must be at least 1")
     keep = np.arange(0, n, stride)
     if keep.size == 0:
         raise EmptySelectionError("selector keeps no rows")
-    return ForwardOperator(A=h.A[keep, :], kind="superresolution")
+    return h[keep, :]
 
 
-def gram(a: ForwardOperator) -> np.ndarray:
+def gram(a: np.ndarray) -> np.ndarray:
     """B = A^T A, symmetrized exactly against rounding."""
-    b = a.A.T @ a.A
+    b = a.T @ a
     return (b + b.T) / 2.0
 
 

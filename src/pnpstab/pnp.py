@@ -1,9 +1,10 @@
 """Plug-and-play fixed-point iterations and empirical convergence rates.
 
-The gradient-then-denoise update x <- W(x - t(A^T A x - A^T b)) is the
-affine map x <- P(t) x + t W A^T b; its convergence is governed by
-rho(P(t)), and the observed geometric decay rate of the error should
-approach that radius for generic starts.
+For a measurement matrix A, data b, denoiser W and step t, the
+gradient-then-denoise update x <- W(x - t(A^T A x - A^T b)) is the affine
+map x <- P(t) x + t W A^T b. `pgd_pnp_run` iterates it, recording the
+error against the affine fixed point and the loss; the error's geometric
+decay rate (`empirical_rate`) should approach rho(P(t)) for generic starts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, SingularMatrixError
 from .matrices import StochasticMatrix, as_matrix
-from .operators import ForwardOperator, P_stack, gram
+from .operators import P_stack, gram
 from .spectral import solve_linear
 
 __all__ = [
@@ -34,13 +35,13 @@ _EPS = np.finfo(float).eps
 class InverseProblem:
     """Ax = b with denoiser W and step size t."""
 
-    A: ForwardOperator
+    A: np.ndarray
     b: np.ndarray
     W: StochasticMatrix
     t: float
 
     def __post_init__(self):
-        a = as_matrix(self.A.A)
+        a = as_matrix(self.A)
         b = np.asarray(self.b, dtype=float).ravel()
         if a.shape[1] != self.W.n:
             raise ValueError(f"A has {a.shape[1]} columns but W is {self.W.n}x{self.W.n}")
@@ -48,6 +49,7 @@ class InverseProblem:
             raise ValueError(f"b has length {b.size} but A has {a.shape[0]} rows")
         if not (np.isfinite(self.t) and self.t > 0):
             raise ValueError("step size t must be positive")
+        object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
 
 
@@ -66,39 +68,6 @@ class IterationTrace:
     loss_values: np.ndarray
     estimated_rate: float | None
     converged: bool
-    final_x: np.ndarray
-
-
-def _iterate(m, c, x0, max_iter, tol, x_star, loss):
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    kept = 1
-    errors = [] if x_star is None else [float(np.linalg.norm(x - x_star))]
-    losses = [loss(x)]
-    converged = False
-    for _ in range(max_iter):
-        x_next = m @ x + c
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        kept += 1
-        if x_star is not None:
-            errors.append(float(np.linalg.norm(x - x_star)))
-        losses.append(loss(x))
-        if step <= tol * (1.0 + float(np.linalg.norm(x))):
-            converged = True
-            break
-    errors = np.asarray(errors)
-    try:
-        rate = empirical_rate_from_errors(errors)
-    except InsufficientDataError:
-        rate = None
-    return IterationTrace(
-        iterates_kept=kept,
-        error_norms=errors,
-        loss_values=np.asarray(losses),
-        estimated_rate=rate,
-        converged=converged,
-        final_x=x,
-    )
 
 
 def affine_map(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +75,7 @@ def affine_map(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
     and c = t W A^T b."""
     w = problem.W.matrix
     p = P_stack(w, gram(problem.A), np.array([problem.t], dtype=float))[0]
-    c = problem.t * (w @ (problem.A.A.T @ problem.b))
+    c = problem.t * (w @ (problem.A.T @ problem.b))
     return p, c
 
 
@@ -125,10 +94,35 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
         x_star = None
 
     def loss(x):
-        r = problem.A.A @ x - problem.b
+        r = problem.A @ x - problem.b
         return 0.5 * float(r @ r)
 
-    return _iterate(p, c, x0, max_iter, tol, x_star, loss)
+    x = np.asarray(x0, dtype=float).ravel()
+    errors = [] if x_star is None else [float(np.linalg.norm(x - x_star))]
+    losses = [loss(x)]
+    converged = False
+    for _ in range(max_iter):
+        x_next = p @ x + c
+        step = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if x_star is not None:
+            errors.append(float(np.linalg.norm(x - x_star)))
+        losses.append(loss(x))
+        if step <= tol * (1.0 + float(np.linalg.norm(x))):
+            converged = True
+            break
+    errors = np.asarray(errors)
+    try:
+        rate = empirical_rate_from_errors(errors)
+    except InsufficientDataError:
+        rate = None
+    return IterationTrace(
+        iterates_kept=len(losses),
+        error_norms=errors,
+        loss_values=np.asarray(losses),
+        estimated_rate=rate,
+        converged=converged,
+    )
 
 
 def empirical_rate_from_errors(errors: np.ndarray) -> float:

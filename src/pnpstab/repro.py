@@ -1,9 +1,10 @@
 """Bundled worked examples with known spectral behavior.
 
-Each example id maps to a fixed (W, B) pair plus expected values with
-per-value tolerances: closed-form eigenvalues, slope values, stability
-thresholds, and instability windows. Running an example produces a
-profile CSV, a JSON report, and a pass/fail verdict per check.
+One table maps each example id to the builder of its fixed (W, B)
+family and to its profile window; `_checks_for` holds the expected values
+with per-value tolerances: closed-form eigenvalues, slope values,
+stability thresholds, and instability windows. Running an example
+produces a profile CSV, a JSON report, and a pass/fail verdict per check.
 """
 
 from __future__ import annotations
@@ -29,16 +30,6 @@ from .stability import profile, profile_to_csv, rho_on_grid, stability_threshold
 
 __all__ = ["EXAMPLE_IDS", "CheckResult", "ReproReport", "example_family", "repro", "repro_all"]
 
-EXAMPLE_IDS = (
-    "remark_1_3_P",
-    "remark_1_3_R",
-    "remark_1_6",
-    "remark_1_7",
-    "example_1_13",
-    "example_1_14_B1",
-    "example_1_14_B2",
-)
-
 
 def _frac(rows) -> np.ndarray:
     return np.array([[float(Fraction(*x)) for x in row] for row in rows])
@@ -61,24 +52,28 @@ def _swap_family(b) -> OperatorFamily:
     return make_family(validate_stochastic(_W_SWAP, tol=0.0), b)
 
 
+def _family(w, b) -> OperatorFamily:
+    return make_family(validate_stochastic(w), b)
+
+
+# Each example id -> (builder of its family, profile window (t_min, t_max, steps)).
+_EXAMPLES = {
+    "remark_1_3_P": (lambda: _swap_family(_W_SWAP), (0.0, 3.0, 301)),
+    "remark_1_3_R": (lambda: _swap_family(_B_HALF_E), (0.0, 3.0, 301)),
+    "remark_1_6": (lambda: _family(_W_1_6, _B_1_6), (0.0, 0.5, 251)),
+    "remark_1_7": (lambda: _family(_W_BLUR, _H_BLUR.T @ _H_BLUR), (0.0, 3.0, 301)),
+    "example_1_13": (lambda: _family(_W_1_13, _H_1_13[:1, :].T @ _H_1_13[:1, :]), (0.0, 4.2, 301)),
+    "example_1_14_B1": (lambda: _family(_W_BLUR, _B1_1_14), (0.0, 20.0, 401)),
+    "example_1_14_B2": (lambda: _family(_W_BLUR, _B2_1_14), (0.0, 20.0, 401)),
+}
+EXAMPLE_IDS = tuple(_EXAMPLES)
+
+
 def example_family(example: str) -> OperatorFamily:
     """The (W, B) family behind an example id."""
-    if example == "remark_1_3_P":
-        return _swap_family(_W_SWAP)
-    if example == "remark_1_3_R":
-        return _swap_family(_B_HALF_E)
-    if example == "remark_1_6":
-        return make_family(validate_stochastic(_W_1_6), _B_1_6)
-    if example == "remark_1_7":
-        return make_family(validate_stochastic(_W_BLUR), _H_BLUR.T @ _H_BLUR)
-    if example == "example_1_13":
-        sh = _H_1_13[:1, :]
-        return make_family(validate_stochastic(_W_1_13), sh.T @ sh)
-    if example == "example_1_14_B1":
-        return make_family(validate_stochastic(_W_BLUR), _B1_1_14)
-    if example == "example_1_14_B2":
-        return make_family(validate_stochastic(_W_BLUR), _B2_1_14)
-    raise ValueError(f"unknown example {example!r}; expected one of {EXAMPLE_IDS}")
+    if example not in _EXAMPLES:
+        raise ValueError(f"unknown example {example!r}; expected one of {EXAMPLE_IDS}")
+    return _EXAMPLES[example][0]()
 
 
 @dataclass(frozen=True)
@@ -145,11 +140,6 @@ def _eig_check(name, matrix_fn, expected, tolerance=1e-12) -> CheckResult:
     return CheckResult(name, 0.0, deviation, tolerance, deviation <= tolerance)
 
 
-def _interior_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    # count points strictly inside (lo, hi]
-    return lo + (hi - lo) * np.arange(1, count + 1) / count
-
-
 def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
     checks: list[CheckResult] = []
     if example == "remark_1_3_P":
@@ -160,7 +150,7 @@ def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
             checks.append(_eig_check(f"eig_R@t={t}", lambda t=t: R_of(family, t), [-1.0, 1.0 / (t + 1.0)]))
     elif example == "remark_1_6":
         checks.append(_value_check("piTBe", lambda: -predicted_slope(family), float(Fraction(-1, 30)), 1e-12))
-        ts = _interior_grid(0.0, 0.5, 51)[:-1]  # 50 points strictly inside (0, 0.5)
+        ts = 0.5 * np.arange(1, 51) / 51  # 50 points strictly inside (0, 0.5)
         checks.append(_bool_check("rho_P>1_on_(0,0.5)", lambda: rho_on_grid(family, "P", ts).min() > 1.0))
         checks.append(_bool_check("rho_R>1_on_(0,0.5)", lambda: rho_on_grid(family, "R", ts).min() > 1.0))
     elif example == "remark_1_7":
@@ -173,7 +163,7 @@ def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
                 1e-3,
             )
         )
-        ts = _interior_grid(2.0, 3.0, 25)
+        ts = 2.0 + np.arange(1, 26) / 25  # 25 points inside (2, 3]
         checks.append(_bool_check("rho_R<1_on_(2,3]", lambda: rho_on_grid(family, "R", ts).max() < 1.0))
     elif example == "example_1_13":
         checks.append(_value_check("2/rho_B", lambda: 2.0 / family.rho_B, 3.9936, 1e-3))
@@ -195,17 +185,6 @@ def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
     return checks
 
 
-_PROFILE_WINDOWS = {
-    "remark_1_3_P": (0.0, 3.0, 301),
-    "remark_1_3_R": (0.0, 3.0, 301),
-    "remark_1_6": (0.0, 0.5, 251),
-    "remark_1_7": (0.0, 3.0, 301),
-    "example_1_13": (0.0, 4.2, 301),
-    "example_1_14_B1": (0.0, 20.0, 401),
-    "example_1_14_B2": (0.0, 20.0, 401),
-}
-
-
 def repro(example: str, out_dir) -> ReproReport:
     """Run one bundled example: emit its profile CSV and JSON report."""
     family = example_family(example)
@@ -213,7 +192,7 @@ def repro(example: str, out_dir) -> ReproReport:
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     csv_path = out / f"{example}_profile.csv"
-    t_min, t_max, steps = _PROFILE_WINDOWS[example]
+    t_min, t_max, steps = _EXAMPLES[example][1]
     profile_to_csv(profile(family, t_min, t_max, steps), csv_path)
     artifacts.append(str(csv_path))
     try:

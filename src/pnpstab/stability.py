@@ -260,14 +260,14 @@ def stability_threshold(
             raise NoConvergenceError(iterations=-1, residual=float("nan"))
         return r - 1.0
 
-    prev, f_prev = eps0, f(eps0, certify=True)
-    if f_prev is not None and f_prev >= 0.0:
-        return report("unstable_from_start")
-    t = eps0 + grid_step
+    prev = f_prev = None
+    t = eps0
     edge = scan_max * (1.0 + 1e-12)
     while t <= edge:
         f_t = f(t, certify=True)
         if f_t is not None and f_t >= 0.0:
+            if prev is None:
+                return report("unstable_from_start")
             f_prev = f(prev) if f_prev is None else f_prev  # the secant needs rho where the scan certified
             lo, hi, f_lo, f_hi, kept = prev, t, f_prev, f_t, None  # Illinois: f of an end kept twice halves
             while hi - lo > bisect_tol:
@@ -343,26 +343,17 @@ def _check_hypotheses(family: OperatorFamily, theorem: str) -> None:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
 
 
-def check_theorem_bound(
-    family: OperatorFamily,
-    theorem: str,
-    grid_steps: int = 64,
-    enforce_hypotheses: bool = True,
-) -> tuple[float, float, str] | None:
+def check_theorem_bound(family: OperatorFamily, theorem: str, grid_steps: int = 64) -> tuple[float, float, str] | None:
     """First (t, rho, which) with rho >= 1 - 1e-10 at interior points of
     (0, 2/rho(B)), or None when rho(P) and rho(R) stay below it.
 
     Hypotheses of the named bound are verified first and raise
-    HypothesesUnmetError when violated; pass enforce_hypotheses=False to
-    probe the bound anyway (diagnostic mode). P is scanned over the whole
-    grid before R, so a failure of both is reported as P.
+    HypothesesUnmetError when violated. P is scanned over the whole grid
+    before R, so a failure of both is reported as P.
     """
     if grid_steps < 1:
         raise InvalidGridError("need grid_steps >= 1")
-    if enforce_hypotheses:
-        _check_hypotheses(family, theorem)
-    elif theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    _check_hypotheses(family, theorem)
     if family.rho_B <= 0.0:
         raise HypothesesUnmetError("rho(B) = 0; the interval (0, 2/rho(B)) is empty")
     ts = _open_grid(2.0 / family.rho_B, grid_steps)

@@ -14,7 +14,6 @@ from pnpstab.errors import SingularShiftError
 from pnpstab.generators import random_positive_stochastic, random_zero_rowsum
 from pnpstab.matrices import structure, validate_stochastic
 from pnpstab.operators import (
-    ForwardOperator,
     P_of,
     R_of,
     build_inpainting,
@@ -170,7 +169,7 @@ def _inpainting_problem(seed, t):
     if not mask.any():
         mask[0] = 1.0
     op = build_inpainting(mask)
-    return InverseProblem(A=op, b=op.A @ rng.uniform(0, 1, size=n), W=w, t=t), n
+    return InverseProblem(A=op, b=op @ rng.uniform(0, 1, size=n), W=w, t=t), n
 
 
 def test_criterion_12_pnp_convergence_and_rate():
@@ -190,7 +189,7 @@ def test_criterion_12_pnp_convergence_and_rate():
     vals, vecs = np.linalg.eigh(B_CEX)
     sqrt_b = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     unstable = InverseProblem(
-        A=ForwardOperator(A=sqrt_b, kind="custom"),
+        A=sqrt_b,
         b=np.zeros(2),
         W=validate_stochastic(W_CEX),
         t=0.25,

@@ -88,6 +88,22 @@ def test_malformed_matrix_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert str(w_path) in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+    # Non-finite entries also name the file: nan in W for profile, inf in B for threshold.
+    w_path.write_text("2 2\n0.5 nan\n0.5 0.5\n")
+    code = main(
+        ["profile", "--w", str(w_path), "--b", str(w_path),
+         "--tmin", "0", "--tmax", "1", "--steps", "5", "--out", str(tmp_path / "out.csv")]
+    )
+    assert code == 2
+    assert str(w_path) in capsys.readouterr().err
+    w_path.write_text("2 2\n0.5 0.5\n0.5 0.5\n")
+    b_path = tmp_path / "b.txt"
+    b_path.write_text("2 2\n1 0\ninf 1\n")
+    code = main(["threshold", "--w", str(w_path), "--b", str(b_path), "--which", "P", "--scan-max", "1",
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert str(b_path) in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_invalid_stochastic_file_exits_2(tmp_path):

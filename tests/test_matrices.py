@@ -200,7 +200,7 @@ def test_structure_of_long_cycles(kwargs, irreducible, primitive):
 
 def test_perron_vector_of_counterexample_pair():
     w = validate_stochastic(np.array([[7, 3], [6, 4]]) / 10)
-    data = left_perron_vector(w, tol=1e-13)
+    data = left_perron_vector(w)
     np.testing.assert_allclose(data.pi, [2 / 3, 1 / 3], rtol=0, atol=1e-13)
     assert data.residual <= 1e-13
 
@@ -219,14 +219,14 @@ def test_perron_vector_of_doubly_stochastic_is_uniform():
 def test_perron_vector_closed_form_2x2():
     # pi W = pi for W = [[0,1],[1/2,1/2]] forces pi2 = 2 pi1, so pi = (1/3, 2/3).
     w = validate_stochastic(np.array([[0, 2], [1, 1]]) / 2)
-    data = left_perron_vector(w, tol=1e-13)
+    data = left_perron_vector(w)
     np.testing.assert_allclose(data.pi, [1 / 3, 2 / 3], rtol=0, atol=1e-13)
 
 
 def test_perron_vector_periodic_pattern_uses_solve_fallback():
     # Period-2 pattern with unequal weights: plain power iteration cycles.
     w = validate_stochastic([[0, 0, 0.3, 0.7], [0, 0, 0.8, 0.2], [0.4, 0.6, 0, 0], [0.9, 0.1, 0, 0]])
-    data = left_perron_vector(w, tol=1e-12)
+    data = left_perron_vector(w)
     assert data.residual <= 1e-12
     assert data.pi.min() > 0
     assert data.pi.sum() == pytest.approx(1.0, abs=1e-14)
@@ -255,7 +255,7 @@ def test_perron_invariants_on_random_irreducible():
         n = int(rng.integers(2, 9))
         m = rng.uniform(0.05, 1.0, size=(n, n))
         w = validate_stochastic(m / m.sum(axis=1, keepdims=True))
-        data = left_perron_vector(w, tol=1e-12)
+        data = left_perron_vector(w)
         assert np.max(np.abs(data.pi @ w.matrix - data.pi)) <= 1e-12
         assert data.pi.min() > 0
 
@@ -358,6 +358,8 @@ def test_matrix_file_rejects_ragged_row(tmp_path):
         pytest.param("2 2\n1 2\n3\n", id="ragged_row"),
         pytest.param("2 2\n1 2 3\n4 5 6\n", id="rows_too_wide"),
         pytest.param("2 2\n1 x\n3 4\n", id="non_numeric_entry"),
+        pytest.param("2 2\n0.5 nan\n0.5 0.5\n", id="nan_entry"),
+        pytest.param("2 2\n1 0\ninf 1\n", id="inf_entry"),
     ],
 )
 def test_malformed_matrix_file_error_names_the_path(tmp_path, text):

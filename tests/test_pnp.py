@@ -3,7 +3,7 @@ import pytest
 
 from pnpstab.errors import InsufficientDataError, SingularMatrixError
 from pnpstab.matrices import validate_stochastic
-from pnpstab.operators import ForwardOperator, build_inpainting, gram, kernel_denoiser
+from pnpstab.operators import build_inpainting, gram, kernel_denoiser
 from pnpstab.pnp import (
     InverseProblem,
     IterationTrace,
@@ -27,14 +27,14 @@ def fixed_point(problem):
 
 def geometric_trace(ratio, steps, start=1.0):
     errors = start * ratio ** np.arange(steps + 1.0)
-    return IterationTrace(steps + 1, errors, np.empty(0), None, False, np.zeros(1))
+    return IterationTrace(steps + 1, errors, np.empty(0), None, False)
 
 
 def inpainting_problem(seed=0, n=4, mask=(1, 1, 0, 1), t=1.0):
     rng = np.random.default_rng(seed)
     w = kernel_denoiser(rng.uniform(0, 1, size=n), bandwidth=0.5)
     op = build_inpainting(np.asarray(mask, dtype=float))
-    b = op.A @ rng.uniform(0, 1, size=n)
+    b = op @ rng.uniform(0, 1, size=n)
     return InverseProblem(A=op, b=b, W=w, t=t)
 
 
@@ -50,15 +50,14 @@ def test_starting_at_fixed_point_stops_immediately():
     trace = pgd_pnp_run(problem, x0=x_star, max_iter=50, tol=1e-10)
     assert trace.converged
     assert trace.iterates_kept == 2
-    assert np.linalg.norm(trace.final_x - x_star) <= 1e-12
+    assert trace.error_norms[-1] <= 1e-12
 
 
 def test_unstable_family_fails_to_converge():
     # A = B^{1/2} reproduces the indefinite-slope pair as a quadratic loss
     b_matrix = np.array([[34.0, -65.0], [-65.0, 126.0]]) / 10
     w = validate_stochastic(np.array([[7.0, 3.0], [6.0, 4.0]]) / 10)
-    op = ForwardOperator(A=_sqrt_psd(b_matrix), kind="custom")
-    problem = InverseProblem(A=op, b=np.zeros(2), W=w, t=0.25)
+    problem = InverseProblem(A=_sqrt_psd(b_matrix), b=np.zeros(2), W=w, t=0.25)
     trace = pgd_pnp_run(problem, x0=np.array([0.3, -0.2]), max_iter=500, tol=1e-10)
     assert not trace.converged
 
@@ -67,19 +66,25 @@ def test_first_iterate_matches_gradient_then_denoise_form():
     problem = inpainting_problem(seed=2, t=0.8)
     x0 = np.array([0.1, 0.4, -0.2, 0.7])
     trace = pgd_pnp_run(problem, x0=x0, max_iter=1, tol=0.0)
-    a = problem.A.A
+    a = problem.A
     grad = a.T @ (a @ x0) - a.T @ problem.b
     expected = problem.W.matrix @ (x0 - problem.t * grad)
-    np.testing.assert_allclose(trace.final_x, expected, atol=1e-12)
+    p, c = affine_map(problem)
+    np.testing.assert_allclose(p @ x0 + c, expected, atol=1e-12)
+    assert trace.loss_values[1] == pytest.approx(0.5 * np.linalg.norm(a @ expected - problem.b) ** 2, abs=1e-12)
 
 
 def test_loss_values_match_direct_evaluation():
     problem = inpainting_problem(seed=3, t=0.5)
     x0 = np.zeros(4)
     trace = pgd_pnp_run(problem, x0=x0, max_iter=30, tol=0.0)
-    a = problem.A.A
+    a = problem.A
+    p, c = affine_map(problem)
+    x = x0
+    for _ in range(30):
+        x = p @ x + c
     first = 0.5 * np.linalg.norm(a @ x0 - problem.b) ** 2
-    last = 0.5 * np.linalg.norm(a @ trace.final_x - problem.b) ** 2
+    last = 0.5 * np.linalg.norm(a @ x - problem.b) ** 2
     assert trace.loss_values[0] == pytest.approx(first, abs=1e-12)
     assert trace.loss_values[-1] == pytest.approx(last, abs=1e-12)
 
@@ -96,7 +101,8 @@ def test_fixed_point_agrees_with_iteration_limit():
     problem = inpainting_problem(seed=5, t=1.0)
     x_star = fixed_point(problem)
     trace = pgd_pnp_run(problem, x0=np.ones(4), max_iter=2000, tol=1e-13)
-    assert np.linalg.norm(trace.final_x - x_star) <= 1e-8
+    assert trace.error_norms[0] == np.linalg.norm(np.ones(4) - x_star)  # errors are measured against x*
+    assert trace.error_norms[-1] <= 1e-8
 
 
 def test_fixed_point_of_zero_observation_is_zero():
@@ -111,7 +117,7 @@ def test_run_without_fixed_point_records_losses_only():
     rng = np.random.default_rng(7)
     m = rng.uniform(0.1, 1.0, size=(2, 2))
     w = validate_stochastic(m / m.sum(axis=1, keepdims=True))
-    problem = InverseProblem(A=ForwardOperator(A=a, kind="custom"), b=np.array([1.0, 0.0]), W=w, t=0.7)
+    problem = InverseProblem(A=a, b=np.array([1.0, 0.0]), W=w, t=0.7)
     with pytest.raises(SingularMatrixError):
         fixed_point(problem)
     trace = pgd_pnp_run(problem, x0=np.zeros(2), max_iter=200, tol=1e-12)

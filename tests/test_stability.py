@@ -8,7 +8,16 @@ from pnpstab import stability
 from pnpstab.errors import HypothesesUnmetError, InvalidGridError, NoConvergenceError, SingularShiftError
 from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
-from pnpstab.operators import P_of, R_of, build_deblur, build_inpainting, gram, kernel_denoiser, make_family
+from pnpstab.operators import (
+    P_of,
+    R_of,
+    build_deblur,
+    build_inpainting,
+    conjecture_hypotheses,
+    gram,
+    kernel_denoiser,
+    make_family,
+)
 from pnpstab.repro import EXAMPLE_IDS, example_family
 from pnpstab.spectral import rho, rho_stack
 from pnpstab.stability import (
@@ -37,6 +46,13 @@ def blur_family():
 
 def counterexample_family():
     return make_family(validate_stochastic(W_CEX), B_CEX)
+
+
+def encoded_counterexample_family():
+    # Meets all four encoded conjecture hypotheses, yet rho(P(t)) > 1 inside (0, 2/rho(B)).
+    w = [[0.9887, 0.0017, 0.0096], [0.9434, 0.0254, 0.0312], [0.0075, 0.8883, 0.1042]]
+    b = [[0.911, 0.2328, -0.1449], [0.2328, 0.1097, 0.1226], [-0.1449, 0.1226, 0.5309]]
+    return make_family(validate_stochastic(w), b)
 
 
 def subsampled_family():
@@ -163,7 +179,7 @@ def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch
     with pytest.raises(NoConvergenceError):
         stability_threshold(family, "P", scan_max=3.0)
     with pytest.raises(NoConvergenceError):
-        check_theorem_bound(family, "conjecture", enforce_hypotheses=False)
+        check_theorem_bound(family, "conjecture")
     with pytest.raises(NoConvergenceError):
         slope_check(family, "R")
 
@@ -498,18 +514,12 @@ def test_bound_check_rejects_unmet_hypotheses():
         check_theorem_bound(subsampled_family(), "conjecture")
 
 
-def test_bound_check_diagnostic_mode_finds_instability_window():
-    family = subsampled_family()
-    t, r, which = check_theorem_bound(family, "conjecture", grid_steps=256, enforce_hypotheses=False)
-    assert which == "P"
-    assert 3.86 < t < 2.0 / family.rho_B
-    assert r >= 1.0 - 1e-10
-
-
-def test_bound_check_reports_p_before_r_at_the_same_point():
+def test_bound_check_reports_p_before_r_at_the_same_point(monkeypatch):
     # Both rho(P) and rho(R) exceed 1 at the first grid point, R by slightly more.
+    # remark_1_6 has an indefinite B, so the hypothesis check is switched off.
+    monkeypatch.setattr(stability, "_check_hypotheses", lambda family, theorem: None)
     family = example_family("remark_1_6")
-    t, r, which = check_theorem_bound(family, "conjecture", enforce_hypotheses=False)
+    t, r, which = check_theorem_bound(family, "conjecture")
     assert which == "P"
     assert t == 2.0 / family.rho_B / 65
     assert t == pytest.approx(0.0019275, abs=1e-7)
@@ -532,6 +542,54 @@ def test_bound_check_hypothesis_gate_by_theorem():
         check_theorem_bound(family, "dbl_stochastic", grid_steps=8)
     with pytest.raises(HypothesesUnmetError):
         check_theorem_bound(family, "alpha_beta", grid_steps=8)
+
+
+# -- the encoded hypotheses admit counterexamples --------------------------------
+#
+# `conjecture_hypotheses` encodes four hypotheses: W primitive, B PSD,
+# Be <= rho(B)e and pi^T B e > 0. The instances below meet all four, and
+# rho(P(t)) still reaches 1 inside (0, 2/rho(B)). Whether the paper's full
+# technical conditions exclude them is not decided here.
+
+
+def test_encoded_hypotheses_admit_counterexamples_instance_meets_all_four():
+    hyp = conjecture_hypotheses(encoded_counterexample_family())
+    assert hyp.all_met()
+    assert hyp.margin == pytest.approx(1.128e-3, abs=1e-6)
+    assert hyp.pibe == pytest.approx(0.987, abs=1e-3)
+
+
+def test_encoded_hypotheses_admit_counterexamples_bound_check_fails_on_p():
+    t, r, which = check_theorem_bound(encoded_counterexample_family(), "conjecture")
+    assert which == "P"
+    assert t == pytest.approx(1.7230286839087774, rel=1e-12)
+    assert r == pytest.approx(1.0295947293073262, rel=1e-9)
+
+
+def test_encoded_hypotheses_admit_counterexamples_fuzzer_verdict_is_violation():
+    hyp, verdict, certificate = evaluate_conjecture_family(encoded_counterexample_family())
+    assert hyp.all_met()
+    assert verdict == "violation"
+    t, r, which = certificate
+    assert which == "P"
+    assert t == pytest.approx(1.6964505594071273, rel=1e-12)
+    assert r == pytest.approx(1.0030917090452751, rel=1e-9)
+
+
+def test_encoded_hypotheses_admit_counterexamples_r_stays_stable():
+    family = encoded_counterexample_family()
+    report = stability_threshold(family, "R", scan_max=2.0 / family.rho_B)
+    assert report.classification == "stable_throughout_scan"
+
+
+@pytest.mark.parametrize("seed", [523, 1869, 3394, 3707])
+def test_encoded_hypotheses_admit_counterexamples_from_the_fuzzer(seed):
+    result = conjecture_trial(3, "general_psd", seed)
+    assert result.hypotheses.all_met()
+    assert result.verdict == "violation"
+    t, r, which = result.certificate
+    assert which == "P"
+    assert r >= 1.0 - 1e-12
 
 
 # -- slope checks -----------------------------------------------------------------
