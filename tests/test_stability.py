@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pnpstab import stability
+from pnpstab import spectral, stability
 from pnpstab.errors import HypothesesUnmetError, InvalidGridError, NoConvergenceError, SingularShiftError
 from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
@@ -414,6 +414,18 @@ def test_threshold_rejects_non_finite_parameters(monkeypatch, param, value):
         stability_threshold(blur_family(), "P", **kwargs)
 
 
+@pytest.mark.parametrize("which", ["X", "p"])
+def test_threshold_rejects_unknown_which_before_any_work(monkeypatch, which):
+    # An invalid `which` was rejected only when the first scan point reached the operator build.
+    def no_eigh(b):
+        raise AssertionError("eigh called before `which` was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    budget_builders(monkeypatch, 0)
+    with pytest.raises(ValueError, match="which"):
+        stability_threshold(blur_family(), which, scan_max=3.0)
+
+
 def test_threshold_json_fields():
     report = stability_threshold(blur_family(), "P", scan_max=3.0)
     d = report.to_json_dict()
@@ -433,23 +445,26 @@ def seeded_family(generator, seed, n_max):
 
 @pytest.mark.parametrize("generator", ["imaging", "general_psd"])
 def test_certified_slices_have_radius_below_the_certified_bound(generator):
-    certified = 0
+    # Each slice is certified twice: as built, and as the similar matrix in B's eigenbasis.
+    certified = {"built": 0, "eigenbasis": 0}
     for seed in range(30):
         family = seeded_family(generator, seed, 30)
         ts = np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]
         for which in ("P", "R"):
-            stack, _ = stability._operator_stack(family, which, ts)
+            similar = stability._eigenbasis_operator(family, which)
+            stack, ok = stability._operator_stack(family, which, ts)
             radii = rho_stack(stack)
-            for m, r in zip(stack, radii):
-                if stability._certified_stable(m):
-                    certified += 1
-                    assert r < 2.0 ** (-1.0 / 64.0)
-    assert certified >= 1000  # the sweep is not vacuous
+            for t, m, r in zip(ts[ok], stack, radii):
+                for basis, cand in (("built", m), ("eigenbasis", similar(t))):
+                    if cand is not None and stability._certified_stable(cand):
+                        certified[basis] += 1
+                        assert r < 2.0 ** (-1.0 / 64.0), (basis, seed, which, t)
+    assert min(certified.values()) >= 1000  # the sweep is not vacuous in either basis
 
 
-def assert_certificate_changes_no_report(monkeypatch, family, scan_max):
+def assert_certificate_changes_no_report(monkeypatch, family, scan_max, grid_steps=(None, 0.1875)):
     for which in ("P", "R"):
-        for grid_step in (None, 0.1875):
+        for grid_step in grid_steps:
             if grid_step is not None and grid_step >= scan_max:
                 continue
             with monkeypatch.context() as m:
@@ -470,22 +485,105 @@ def test_certificate_changes_no_threshold_report_on_examples(monkeypatch, exampl
     assert_certificate_changes_no_report(monkeypatch, example_family(example), 20.0)
 
 
-def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
+def test_certificate_changes_no_threshold_report_on_indefinite_and_non_symmetric_b(monkeypatch):
+    w = validate_stochastic(W_BLUR)
+    # 1 + t lam_min < 1/2 past t = 2: R scan points there take the built path.
+    assert_certificate_changes_no_report(monkeypatch, make_family(w, np.diag([0.5, -0.25])), 8.0)
+    assert_certificate_changes_no_report(monkeypatch, make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]])), 8.0)
+
+
+def test_certificate_changes_no_threshold_report_where_the_shift_fails_the_pivot_test(monkeypatch):
+    # I + tB = diag(1 + t, 1) fails the 1e-13 pivot test from t ~ 1e13, so R reports a
+    # singular shift there, although the similar matrix in B's eigenbasis certifies.
+    family = make_family(validate_stochastic(W_BLUR), np.diag([1.0, 0.0]))
+    assert_certificate_changes_no_report(monkeypatch, family, 3e14, grid_steps=(None,))
+    report = stability_threshold(family, "R", scan_max=3e14)
+    assert report.classification == "stable_then_unstable"
+    assert 1e12 < report.T_star < 1e14
+
+
+def imaging_family_64():
     # A kernel denoiser with a 3-tap circular blur, as the imaging-large benchmark
-    # builds at n = 256 and 400. Without the certificate the scan eigensolves
-    # every point: 14 for P and 16 for R.
+    # builds at n = 256 and 400.
     n = 64
     rng = np.random.default_rng([801, n])
     w = kernel_denoiser(rng.uniform(0.0, 1.0, size=n), bandwidth=0.5)
-    family = make_family(w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), n)))
-    for which, classification, most in [
-        ("P", "stable_then_unstable", 5),  # eps0, the crossing, the point before it, two secant points
-        ("R", "stable_throughout_scan", 1),  # eps0, where rho(R) is within 1e-4 of 1
+    return make_family(w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), n)))
+
+
+def test_certificate_changes_no_threshold_report_on_an_imaging_family(monkeypatch):
+    assert_certificate_changes_no_report(monkeypatch, imaging_family_64(), 3.0, grid_steps=(0.1875,))
+
+
+def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
+    # Without the certificate the scan eigensolves every point: 14 for P and 16 for R.
+    # Certifying the built M(t) still costs a build per point: 15 P_stack and 16 LU builds.
+    family = imaging_family_64()
+    for which, classification, most_eigensolves, most_builds in [
+        ("P", "stable_then_unstable", 5, 5),  # eps0, the crossing, the point before it, two secant points
+        ("R", "stable_throughout_scan", 1, 1),  # eps0, where rho(R) is within 1e-4 of 1
     ]:
+        lu_calls = 0
+        real_lu = spectral._lu_solve_each
+
+        def counting_lu(a, b):
+            nonlocal lu_calls
+            lu_calls += 1
+            return real_lu(a, b)
+
         with monkeypatch.context() as m:
+            m.setattr(spectral, "_lu_solve_each", counting_lu)
+            budget_builders(m, most_builds)
             report, calls, _ = recorded_threshold(m, family, which, scan_max=3.0, grid_step=0.1875)
         assert report.classification == classification
-        assert len(calls) <= most
+        assert len(calls) <= most_eigensolves
+        assert lu_calls <= (most_builds if which == "R" else 0)
+
+
+def test_eigenbasis_operator_is_similar_and_guarded():
+    w = validate_stochastic(W_BLUR)
+    indefinite = make_family(w, np.diag([0.5, -0.25]))  # 1 + t lam_min >= 1/2 up to t = 2
+    for which, build in (("P", P_of), ("R", R_of)):
+        similar = stability._eigenbasis_operator(indefinite, which)
+        for t in (0.5, 1.9):
+            want = np.sort_complex(np.linalg.eigvals(build(indefinite, t)))
+            assert np.allclose(np.sort_complex(np.linalg.eigvals(similar(t))), want, rtol=0, atol=1e-12)
+    assert stability._eigenbasis_operator(indefinite, "P")(2.1) is not None  # P needs no solve
+    r_similar = stability._eigenbasis_operator(indefinite, "R")
+    assert r_similar(2.0) is not None and r_similar(2.1) is None
+    wide = stability._eigenbasis_operator(make_family(w, np.diag([1.0, 0.0])), "R")
+    assert wide(1e9) is not None and wide(1e13) is None  # cond(I + tB) n^1.5 past 1e10
+    non_symmetric = make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]]))
+    assert all(stability._eigenbasis_operator(non_symmetric, which)(0.5) is None for which in ("P", "R"))
+
+
+def test_threshold_falls_back_to_built_operators_when_eigh_fails(monkeypatch):
+    want = [stability_threshold(blur_family(), which, scan_max=3.0) for which in ("P", "R")]
+
+    def eigh_fails(b):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
+    assert [stability_threshold(blur_family(), which, scan_max=3.0) for which in ("P", "R")] == want
+
+
+def test_threshold_scan_past_the_eigenbasis_guard_builds_each_point(monkeypatch):
+    family = make_family(validate_stochastic(W_BLUR), np.diag([0.5, -0.25]))
+    built = []
+    real_build = stability.R_stack
+
+    def recording(w, b, ts):
+        built.append(float(ts[0]))
+        return real_build(w, b, ts)
+
+    monkeypatch.setattr(stability, "R_stack", recording)
+    report = stability_threshold(family, "R", scan_max=8.0, grid_step=0.1875)
+    scan, t = [], 1e-4
+    while t < report.bracket[0]:
+        scan.append(t)
+        t += 0.1875
+    assert {t for t in scan if t > 2.0} <= set(built)
+    assert [t for t in built if t <= 2.0] == [1e-4]  # only eps0, where rho(R) is near 1, is not certified
 
 
 def test_reference_thresholds_for_r():
