@@ -51,10 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--which", choices=("P", "R"), required=True)
-    p.add_argument("--scan-max", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=None)
+    p.add_argument("--scan-max", type=float, required=True, help="last t of the scan")
+    p.add_argument("--grid-step", type=float, default=None, help="scan spacing (default scan_max/2048)")
     p.add_argument("--bisect-tol", type=float, default=1e-6, help="maximum bracket width of the refined crossing")
-    p.add_argument("--eps0", type=float, default=1e-4)
+    p.add_argument("--eps0", type=float, default=1e-4, help="first scan point")
     p.add_argument("--out", required=True, help="output JSON path")
 
     p = sub.add_parser("check", help="seeded property suite for a stability bound")

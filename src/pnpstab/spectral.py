@@ -72,6 +72,7 @@ def rho_stack(stack: np.ndarray) -> np.ndarray:
 
 _CERT_SQUARINGS = 6  # powers k = 2, 4, ..., 64
 _CERT_NORM = 0.5  # ||M^k||_F <= 1/2 gives rho(M) <= 2^(-1/k) <= 2^(-1/64) < 0.9893
+_PIVOT_RTOL = 1e-13  # an LU pivot at or below _PIVOT_RTOL * ||A||_inf fails the pivot test
 
 
 def _certified_stable(m: np.ndarray) -> bool:
@@ -98,7 +99,7 @@ def symmetric_eigenvalues(s) -> np.ndarray:
 
 def _lu_solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One LAPACK gesv call per slice of an (m, n, n) stack. Returns the
-    # solutions and the (m, n) mask of U pivots at or below 1e-13 * ||A_k||_inf.
+    # solutions and the (m, n) mask of U pivots at or below _PIVOT_RTOL * ||A_k||_inf.
     # A zero pivot (gesv info > 0) is in that mask; gesv then skips the solve,
     # and the slice is masked either way.
     scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
@@ -107,7 +108,7 @@ def _lu_solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x = np.empty(a.shape[:1] + np.shape(b))
     for k in range(len(a)):
         lu[k], _, x[k], _ = gesv(a[k], b)
-    return x, np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= 1e-13 * scale[:, None]
+    return x, np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= _PIVOT_RTOL * scale[:, None]
 
 
 def solve_linear(a, b) -> np.ndarray:

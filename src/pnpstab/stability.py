@@ -49,7 +49,7 @@ from .operators import (
     make_family,
     predicted_slope,
 )
-from .spectral import _certified_stable, rho_stack
+from .spectral import _PIVOT_RTOL, _certified_stable, rho_stack
 
 __all__ = [
     "StabilityProfile",
@@ -104,22 +104,26 @@ def _operator_stack(family: OperatorFamily, which: str, ts: np.ndarray) -> tuple
     return R_stack(w, b, ts)
 
 
-def _eigenbasis_operator(family: OperatorFamily, which: str):
-    """t -> a matrix orthogonally similar to P(t) or R(t), built without a solve or a matmul.
+def _same_spectrum(family: OperatorFamily, which: str):
+    """t -> a matrix with the spectrum of P(t) or R(t), or None at a singular shift.
 
-    For B = Q diag(lam) Q^T exactly symmetric and W~ = Q^T W Q, P(t) is similar to
-    W~ diag(1 - t lam) and R(t) to I - W~ + diag(1 / (1 + t lam)) (2 W~ - I). The
-    function returns None where M(t) itself must be built: always when B is not
-    exactly symmetric, and for R at t where I + tB may fail the pivot test of
-    `spectral.solve_stack` (some 1 + t lam < 1/2, or cond(I + tB) n^1.5 > 1e10).
+    For B = Q diag(lam) Q^T exactly symmetric and W~ = Q^T W Q, that is W~ diag(1 - t lam)
+    for P, and I - W~ + diag(1 / (1 + t lam)) (2 W~ - I) for R where I + tB surely passes
+    the pivot test (every 1 + t lam >= 1/2, cond(I + tB) n^1.5 <= 1e10): no solve, no
+    matmul. Anywhere else it is M(t) as `_operator_stack` builds it.
     """
+
+    def built(t: float):
+        m, ok = _operator_stack(family, which, np.array([t]))
+        return m[0] if ok[0] else None
+
     b = family.B
     if not np.array_equal(b, b.T):
-        return lambda t: None
+        return built
     try:
         lam, q = np.linalg.eigh(b)
     except np.linalg.LinAlgError:
-        return lambda t: None
+        return built
     w = q.T @ family.W.matrix @ q
     if which == "P":
         return lambda t: w * (1.0 - t * lam)
@@ -131,10 +135,10 @@ def _eigenbasis_operator(family: OperatorFamily, which: str):
         # shift holds the eigenvalues of A = I + tB, ascending for t > 0. With shift[0] > 0,
         # U^-1 = A^-1 P^T L and |L_ij| <= 1 give |U pivots| >= shift[0] / n, and
         # ||A||_inf <= n^0.5 shift[-1], so the guard keeps a factor 1e3 between every
-        # pivot and the 1e-13 ||A||_inf pivot test.
+        # pivot and the _PIVOT_RTOL ||A||_inf pivot test.
         shift = 1.0 + t * lam
-        if not (shift[0] >= 0.5 and shift[-1] * size_factor <= 1e10 * shift[0]):
-            return None
+        if not (shift[0] >= 0.5 and shift[-1] * size_factor <= 1e-3 / _PIVOT_RTOL * shift[0]):
+            return built(t)
         return i_minus_w + two_w_minus_i / shift[:, None]
 
     return r_similar
@@ -154,13 +158,14 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
-    if not np.all(np.isfinite(ts)) or (which == "R" and np.any(ts < 0.0)):
+    if not np.isfinite(ts).all() or (which == "R" and (ts < 0.0).any()):
         raise ValueError("t must be finite, and nonnegative for R")
     radii = np.full(ts.size, np.inf)
     step = _block_points(family.n)
     for lo in range(0, ts.size, step):
         m, ok = _operator_stack(family, which, ts[lo : lo + step])
-        radii[lo : lo + step][ok] = rho_stack(m)
+        if len(m):  # m stacks only the defined points; a block of singular shifts has none
+            radii[lo : lo + step][ok] = rho_stack(m)
     return radii
 
 
@@ -235,10 +240,9 @@ class ThresholdReport:
     `bisect_tol`, the maximum bracket width, unless lo and hi are adjacent
     floats; T_star is its midpoint. The classification is relative to the
     declared scan window: rho is not monotone in t, so T_star is the first
-    crossing at the scanned resolution, not a global supremum. Scan points
-    proved stable by some ||M^k||_F <= 1/2, with M similar to P(t) or R(t) (in
-    B's eigenbasis when B is exactly symmetric), cost no eigensolve and change
-    no field; eigensolved points are slices of P_stack/R_stack.
+    crossing at the scanned resolution, not a global supremum. Every rho
+    is a `rho_on_grid` value; scan points that ||M^k||_F <= 1/2 proves
+    stable cost no eigensolve and change no field.
     """
 
     which: str
@@ -267,15 +271,14 @@ def stability_threshold(
     Scans t = eps0, eps0 + grid_step, ... <= scan_max; a crossing is
     refined by Illinois regula falsi on rho - 1 until the bracket is no
     wider than bisect_tol, or until its ends are adjacent floats when
-    bisect_tol is finer than the float spacing at the crossing. A scan point
-    whose M has some ||M^k||_F <= 1/2 (k = 2, 4, ..., 64) costs no eigensolve.
-    When B equals its transpose exactly, that certificate squares the matrix
-    similar to M in B's eigenbasis (`_eigenbasis_operator`), which costs no LU
-    and no matrix product to build. It is within O(n eps ||W||) of a matrix
-    exactly similar to M, as the built M is within the rounding of its build,
-    and the certified 0.9893 sits 1.07e-2 below 1 - 1e-10. Eigensolved points
-    are slices of P_stack/R_stack, so every report is the one an eigensolve
-    at every scan point gives.
+    bisect_tol is finer than the float spacing at the crossing. Every rho is
+    a one-point `rho_on_grid` value. A scan point is first certified:
+    some ||M^k||_F <= 1/2 (k = 2, 4, ..., 64) of a matrix M with the spectrum
+    of P(t) or R(t) (`_same_spectrum`) proves it stable without an eigensolve.
+    M in B's eigenbasis is within O(n eps ||W||) of a matrix exactly similar,
+    as a built M is within the rounding of its build, and the certified
+    0.9893 sits 1.07e-2 below 1 - 1e-10, so every report is the one an
+    eigensolve at every scan point gives.
     """
     _check_which(which)
     if grid_step is None:
@@ -297,21 +300,14 @@ def stability_threshold(
             eps0=eps0,
         )
 
-    similar = _eigenbasis_operator(family, which)
+    same_spectrum = _same_spectrum(family, which)
 
     def f(t: float, certify: bool = False) -> float | None:
-        # rho - 1 as rho_on_grid gives it (inf at a singular shift); None if certify proves rho < 1,
-        # on the similar matrix in B's eigenbasis where there is one, else on M(t) itself.
-        if certify and (m := similar(t)) is not None:
-            if _certified_stable(m):
-                return None
-            certify = False
-        m, ok = _operator_stack(family, which, np.array([t]))
-        if not ok[0]:
-            return math.inf
-        if certify and _certified_stable(m[0]):
+        # None if certify proves rho < 1 on a matrix with the spectrum of M(t); else rho - 1 as
+        # rho_on_grid gives it (inf at a singular shift).
+        if certify and (m := same_spectrum(t)) is not None and _certified_stable(m):
             return None
-        r = float(rho_stack(m)[0])
+        r = float(rho_on_grid(family, which, [t])[0])
         if math.isnan(r):
             raise NoConvergenceError(iterations=-1, residual=float("nan"))
         return r - 1.0

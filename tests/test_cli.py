@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pnpstab import repro
 from pnpstab.cli import main
 from pnpstab.matrices import write_matrix
 
@@ -159,6 +160,14 @@ def test_fuzz_command_worker_invariance(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_fuzz_command_exits_1_on_a_violation(tmp_path, capsys):
+    # Seed 523 meets the four encoded conjecture hypotheses and violates the bound.
+    out = tmp_path / "fuzz_523.jsonl"
+    args = ["fuzz", "--trials", "1", "--n-min", "3", "--n-max", "3", "--generator", "general_psd"]
+    assert main(args + ["--seed", "523", "--out", str(out)]) == 1
+    assert "VIOLATION seed=523" in capsys.readouterr().out
+
+
 def test_pnp_command_converges(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["pnp", "--kind", "inpainting", "--n", "8", "--t", "1.0", "--seed", "4", "--out", str(out)])
@@ -193,6 +202,28 @@ def test_repro_all_examples_pass(tmp_path, capsys):
     assert "[FAIL]" not in printed
     reports = sorted(tmp_path.glob("*_report.json"))
     assert len(reports) == 7
+
+
+@pytest.mark.parametrize(
+    "name, example, check",
+    [
+        ("stability_threshold", "remark_1_7", "T_star_P"),  # a value check
+        ("rho_on_grid", "remark_1_6", "rho_P>1_on_(0,0.5)"),  # a bool check
+        ("P_of", "remark_1_3_P", "eig_P@t=0.1"),  # an eigenvalue check
+        ("stability_threshold", "example_1_14_B1", "example_computation"),  # called outside a check
+    ],
+)
+def test_repro_reports_a_failed_computation_as_a_failed_check(monkeypatch, tmp_path, capsys, name, example, check):
+    def fails(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(repro, name, fails)
+    assert main(["repro", "--example", "all", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.strip().endswith("overall: FAIL")
+    report = json.loads((tmp_path / f"{example}_report.json").read_text())
+    computed = {c["name"]: (c["computed"], c["pass"]) for c in report["checks"]}
+    assert computed[check] == ("error: injected failure", False)
+    assert not report["overall_pass"]
 
 
 def test_repro_rejects_unknown_example(tmp_path):

@@ -340,6 +340,11 @@ def test_conjecture_hypotheses_all_met_for_symmetric_blur_square():
     assert hyp.pibe == pytest.approx(1.0, abs=1e-10)
 
 
+def test_conjecture_hypotheses_read_a_non_symmetric_b_as_not_psd():
+    family = make_family(validate_stochastic(W_BLUR), np.array([[0.5, 0.2], [0.1, 0.3]]))
+    assert not conjecture_hypotheses(family).b_psd
+
+
 def test_alpha_beta_builder_values_and_psd():
     b = alpha_beta_B(2.0, -0.3, 4)
     np.testing.assert_allclose(b, 2.0 * np.eye(4) - 0.3 * np.ones((4, 4)))

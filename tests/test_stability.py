@@ -277,29 +277,22 @@ def test_threshold_bisection_stops_at_adjacent_floats(monkeypatch, scale, scan_m
 
 
 def recorded_threshold(monkeypatch, family, which, **kwargs):
-    """stability_threshold with every (t, rho) it eigensolves, in call order,
-    and the number of those points up to and including the first crossing.
+    """stability_threshold with every (t, rho) it takes from rho_on_grid, in call
+    order, and the number of those points up to and including the first crossing.
 
     A singular shift of R is recorded as rho = inf; points that a power of
     the operator proved stable cost no eigensolve and are left out.
     """
-    points = []
-    build, eigensolve = getattr(stability, f"{which}_stack"), stability.rho_stack
+    calls = []
+    real_grid = stability.rho_on_grid
 
-    def building(w, b, ts):  # the threshold builds one t at a time
-        out = build(w, b, ts)
-        points.append([float(ts[0]), math.inf if which == "R" and not out[1][0] else None])
-        return out
-
-    def eigensolving(stack):
-        radii = eigensolve(stack)
-        points[-1][1] = float(radii[0])
+    def recording(family, which, ts):  # the threshold evaluates one t at a time
+        radii = real_grid(family, which, ts)
+        calls.append((float(ts[0]), float(radii[0])))
         return radii
 
-    monkeypatch.setattr(stability, f"{which}_stack", building)
-    monkeypatch.setattr(stability, "rho_stack", eigensolving)
+    monkeypatch.setattr(stability, "rho_on_grid", recording)
     report = stability_threshold(family, which, **kwargs)
-    calls = [(t, r) for t, r in points if r is not None]
     scan_points = next((k + 1 for k, (_, r) in enumerate(calls) if not r < 1.0), len(calls))
     return report, calls, scan_points
 
@@ -451,12 +444,12 @@ def test_certified_slices_have_radius_below_the_certified_bound(generator):
         family = seeded_family(generator, seed, 30)
         ts = np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]
         for which in ("P", "R"):
-            similar = stability._eigenbasis_operator(family, which)
+            similar = stability._same_spectrum(family, which)
             stack, ok = stability._operator_stack(family, which, ts)
             radii = rho_stack(stack)
             for t, m, r in zip(ts[ok], stack, radii):
                 for basis, cand in (("built", m), ("eigenbasis", similar(t))):
-                    if cand is not None and stability._certified_stable(cand):
+                    if stability._certified_stable(cand):
                         certified[basis] += 1
                         assert r < 2.0 ** (-1.0 / 64.0), (basis, seed, which, t)
     assert min(certified.values()) >= 1000  # the sweep is not vacuous in either basis
@@ -541,20 +534,29 @@ def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
 
 
 def test_eigenbasis_operator_is_similar_and_guarded():
+    # Past each guard, and for a B that is not exactly symmetric, the matrix is M(t) as built.
     w = validate_stochastic(W_BLUR)
     indefinite = make_family(w, np.diag([0.5, -0.25]))  # 1 + t lam_min >= 1/2 up to t = 2
     for which, build in (("P", P_of), ("R", R_of)):
-        similar = stability._eigenbasis_operator(indefinite, which)
+        similar = stability._same_spectrum(indefinite, which)
         for t in (0.5, 1.9):
             want = np.sort_complex(np.linalg.eigvals(build(indefinite, t)))
+            assert not np.array_equal(similar(t), build(indefinite, t))  # the eigenbasis form
             assert np.allclose(np.sort_complex(np.linalg.eigvals(similar(t))), want, rtol=0, atol=1e-12)
-    assert stability._eigenbasis_operator(indefinite, "P")(2.1) is not None  # P needs no solve
-    r_similar = stability._eigenbasis_operator(indefinite, "R")
-    assert r_similar(2.0) is not None and r_similar(2.1) is None
-    wide = stability._eigenbasis_operator(make_family(w, np.diag([1.0, 0.0])), "R")
-    assert wide(1e9) is not None and wide(1e13) is None  # cond(I + tB) n^1.5 past 1e10
+    assert not np.array_equal(stability._same_spectrum(indefinite, "P")(2.1), P_of(indefinite, 2.1))  # P needs no solve
+    r_similar = stability._same_spectrum(indefinite, "R")
+    assert not np.array_equal(r_similar(2.0), R_of(indefinite, 2.0))
+    assert np.array_equal(r_similar(2.1), R_of(indefinite, 2.1))
+    wide_family = make_family(w, np.diag([1.0, 0.0]))
+    wide = stability._same_spectrum(wide_family, "R")
+    assert not np.array_equal(wide(1e9), R_of(wide_family, 1e9))
+    assert np.array_equal(wide(1e11), R_of(wide_family, 1e11))  # cond(I + tB) n^1.5 past 1e10
+    assert wide(1e13) is None  # I + tB fails the pivot test: a singular shift, as for R_of
+    with pytest.raises(SingularShiftError):
+        R_of(wide_family, 1e13)
     non_symmetric = make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]]))
-    assert all(stability._eigenbasis_operator(non_symmetric, which)(0.5) is None for which in ("P", "R"))
+    for which, build in (("P", P_of), ("R", R_of)):
+        assert np.array_equal(stability._same_spectrum(non_symmetric, which)(0.5), build(non_symmetric, 0.5))
 
 
 def test_threshold_falls_back_to_built_operators_when_eigh_fails(monkeypatch):
@@ -584,6 +586,36 @@ def test_threshold_scan_past_the_eigenbasis_guard_builds_each_point(monkeypatch)
         t += 0.1875
     assert {t for t in scan if t > 2.0} <= set(built)
     assert [t for t in built if t <= 2.0] == [1e-4]  # only eps0, where rho(R) is near 1, is not certified
+
+
+@pytest.mark.parametrize("which", ["P", "R"])
+@pytest.mark.parametrize(
+    "b",
+    [H_BLUR.T @ H_BLUR, np.diag([0.5, -0.25]), np.array([[0.5, 0.2], [0.1, 0.3]])],
+    ids=["symmetric", "indefinite", "non_symmetric"],
+)
+def test_threshold_eigensolves_only_inside_rho_on_grid(monkeypatch, which, b):
+    depth, eigensolves = 0, 0
+    real_grid, real_stack = stability.rho_on_grid, stability.rho_stack
+
+    def grid(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return real_grid(*args)
+        finally:
+            depth -= 1
+
+    def stack(m):
+        nonlocal eigensolves
+        assert depth == 1, "rho_stack called outside rho_on_grid"
+        eigensolves += 1
+        return real_stack(m)
+
+    monkeypatch.setattr(stability, "rho_on_grid", grid)
+    monkeypatch.setattr(stability, "rho_stack", stack)
+    stability_threshold(make_family(validate_stochastic(W_BLUR), b), which, scan_max=8.0, grid_step=0.1875)
+    assert eigensolves >= 1
 
 
 def test_reference_thresholds_for_r():
@@ -839,6 +871,46 @@ def test_suite_family_is_deterministic():
 def test_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         suite_family("bogus", seed=0, n=4)
+
+
+# -- input checks ----------------------------------------------------------------
+
+
+def singular_slope_family():
+    # 1 + h b_11 = 0 exactly at h = 2**-17: I + hB is singular, so rho(R(h)) is undefined.
+    return make_family(validate_stochastic(W_BLUR), np.diag([-(2.0**17), 1.0]))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: run_campaign(1, n_range=(1, 3)), ValueError, "n_min"),
+        (lambda: run_campaign(1, n_range=(4, 3)), ValueError, "n_min"),
+        (lambda: run_campaign(1, generators=()), ValueError, "at least one generator"),
+        (lambda: run_campaign(1, generators=("bogus",)), ValueError, "unknown generator"),
+        (lambda: check_theorem_bound(blur_family(), "conjecture", grid_steps=0), InvalidGridError, "grid_steps"),
+        (lambda: slope_check(blur_family(), "P", h=0.0), ValueError, "h must be positive"),
+        (lambda: slope_check(blur_family(), "R", h=-1e-5), ValueError, "h must be positive"),
+        (lambda: slope_check(singular_slope_family(), "R", h=2.0**-17), SingularShiftError, None),
+        (lambda: conjecture_trial(1, "imaging", 0), ValueError, "n must be at least 2"),
+        (lambda: run_suite("inpainting", trials=0), ValueError, "trials"),
+    ],
+    ids=[
+        "campaign_n_min_below_two",
+        "campaign_n_min_above_n_max",
+        "campaign_no_generator",
+        "campaign_unknown_generator",
+        "bound_check_zero_grid_steps",
+        "slope_zero_h",
+        "slope_negative_h",
+        "slope_at_a_singular_shift",
+        "trial_n_below_two",
+        "suite_zero_trials",
+    ],
+)
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_necessity_zero_rowsum_keeps_radius_at_one():
