@@ -70,26 +70,40 @@ def rho_stack(stack: np.ndarray) -> np.ndarray:
         return radii
 
 
-_CERT_SQUARINGS = 6  # powers k = 2, 4, ..., 64
-_CERT_NORM = 0.5  # ||M^k||_F <= 1/2 gives rho(M) <= 2^(-1/k) <= 2^(-1/64) < 0.9893
+_CERT_SQUARINGS = 16  # powers k = 2, 4, ..., 2^16
+_CERT_ALWAYS = 6  # powers up to k = 64 are always taken; later ones only while they decay fast enough
+_CERT_NORM = 0.5  # ||M^k||_F <= 1/2 gives rho(M) <= 2^(-1/k) <= 2^(-1/65536) < 1 - 1.06e-5
 _PIVOT_RTOL = 1e-13  # an LU pivot at or below _PIVOT_RTOL * ||A||_inf fails the pivot test
 
 
-def _certified_stable(m: np.ndarray) -> bool:
-    """True when some ||M^k||_F <= 1/2 proves rho(m) < 0.9893 without an eigensolve.
+def _certified_stable(m: np.ndarray) -> int:
+    """The first power k = 2, 4, ..., 2^16 with ||M^k||_F <= 1/2, or 0 if none is found.
 
-    rho(M)^k = rho(M^k) <= ||M^k||_F (Gelfand; Horn & Johnson, Matrix Analysis, Thm 5.6.9),
-    so a non-normal M with ||M|| > 1 certifies once its powers decay; a non-finite power never does.
+    A k > 0 proves rho(m) <= 2^(-1/k) < 1 - 1.06e-5 without an eigensolve, since
+    rho(M)^k = rho(M^k) <= ||M^k||_F (Gelfand; Horn & Johnson, Matrix Analysis, Thm 5.6.9):
+    a non-normal M with ||M|| > 1 certifies once its powers decay; a non-finite power never does.
+    Past k = 64 it squares on only while ||M^k||_F decreases fast enough that the last rate,
+    ||M^k||_F / ||M^(k/2)||_F per k/2 steps, would reach 1/2 by k = 2^16; a norm that does not
+    strictly decrease stops it. For a normal M, log ||M^k||_F is convex in k, so that rate only
+    slows and no power that certifies is lost.
+    Powers that have settled by k = 64, as those of the identity, a rotation or a stochastic W
+    have, stop at k = 128.
     """
+    prev = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_CERT_SQUARINGS):
+        for squarings in range(1, _CERT_SQUARINGS + 1):
             m = m @ m
             norm = np.linalg.norm(m)
             if norm <= _CERT_NORM:
-                return True
+                return 2**squarings
             if not np.isfinite(norm):
-                return False
-    return False
+                return 0
+            if squarings > _CERT_ALWAYS:
+                steps_left = 2 ** (_CERT_SQUARINGS + 1 - squarings) - 2  # steps of k/2 from k to 2^16
+                if norm * (norm / prev) ** steps_left > _CERT_NORM:
+                    return 0
+            prev = norm
+    return 0
 
 
 def symmetric_eigenvalues(s) -> np.ndarray:

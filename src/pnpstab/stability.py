@@ -273,12 +273,15 @@ def stability_threshold(
     wider than bisect_tol, or until its ends are adjacent floats when
     bisect_tol is finer than the float spacing at the crossing. Every rho is
     a one-point `rho_on_grid` value. A scan point is first certified:
-    some ||M^k||_F <= 1/2 (k = 2, 4, ..., 64) of a matrix M with the spectrum
-    of P(t) or R(t) (`_same_spectrum`) proves it stable without an eigensolve.
-    M in B's eigenbasis is within O(n eps ||W||) of a matrix exactly similar,
-    as a built M is within the rounding of its build, and the certified
-    0.9893 sits 1.07e-2 below 1 - 1e-10, so every report is the one an
-    eigensolve at every scan point gives.
+    some ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16; past 64 only while the powers
+    decay) of a matrix M with the spectrum of P(t) or R(t) (`_same_spectrum`)
+    proves rho <= 2^(-1/k) < 1 - 1.06e-5 without an eigensolve, which spares
+    the point eps0, where rho is near 1 - eps0 pi^T B e. M in B's eigenbasis
+    is within O(n eps ||W||) of a matrix exactly similar, as a built M is
+    within the rounding of its build, so an eigenvalue moves by about
+    kappa(lambda) n eps. The certified bound sits 1.06e-5 below 1, so every
+    report is the one an eigensolve at every scan point gives while
+    kappa(lambda) n eps << 1e-5.
     """
     _check_which(which)
     if grid_step is None:

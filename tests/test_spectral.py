@@ -258,6 +258,40 @@ def test_certificate_never_proves_a_unit_radius_stable():
     assert not _certified_stable(np.eye(3))
 
 
+def squarings_taken(monkeypatch, m):
+    """(certified power, number of squarings) of _certified_stable(m): it takes one norm per square."""
+    norms = 0
+    real_norm = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        nonlocal norms
+        norms += 1
+        return real_norm(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "norm", counting)
+        power = _certified_stable(m)
+    return power, norms
+
+
+def test_certificate_squares_past_k_64_while_the_powers_decay(monkeypatch):
+    # rho = 1 - 1e-4 needs k = 8192: (1 - 1e-4)^4096 = 0.66 and (1 - 1e-4)^8192 = 0.44.
+    assert squarings_taken(monkeypatch, np.diag([1.0 - 1e-4, 0.5])) == (8192, 13)
+    # (1 - 1e-6)^65536 = 0.94: no power up to 2^16 reaches 1/2, and the rate from
+    # k = 64 to 128 shows it, so the certificate stops there.
+    assert squarings_taken(monkeypatch, np.diag([1.0 - 1e-6, 0.0])) == (0, 7)
+
+
+def test_certificate_gives_up_on_a_unit_radius_by_k_128(monkeypatch):
+    # Rounding makes some of these powers shrink by an ulp or so per square for ever:
+    # a computed stochastic W has its unit eigenvalue a little below 1, and some
+    # rotations drift. The rate test stops them all at the 7th square (k = 128).
+    rotations = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) for a in (0.1, 0.3, 1.234, np.pi / 2)]
+    stochastic = [example_family(e).W.matrix for e in ("remark_1_3_R", "remark_1_7", "example_1_14_B1")]
+    for m in [np.eye(3)] + rotations + stochastic:
+        assert squarings_taken(monkeypatch, m) == (0, 7)
+
+
 def test_certificate_never_certifies_non_finite_powers():
     assert not _certified_stable(np.array([[np.nan, 0.0], [0.0, 0.1]]))
     assert not _certified_stable(np.array([[np.inf, 0.0], [0.0, 0.1]]))

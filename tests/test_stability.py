@@ -324,10 +324,12 @@ def test_threshold_bracket_ends_sit_off_the_crossing():
 def test_threshold_refines_past_a_singular_shift_at_hi(monkeypatch):
     # I + tB is singular at the second scan point t = eps0 + grid_step, so
     # the scan bracket's high end has rho = inf and the secant is undefined.
+    # eps0 is certified, so rho_on_grid first sees the pole, then eps0 as the secant's low end.
     t_pole = 1e-4 + 0.25
     family = make_family(validate_stochastic(W_BLUR), np.diag([-1.0 / t_pole, 10.0]))
     report, calls, scan_points = recorded_threshold(monkeypatch, family, "R", scan_max=1.0, grid_step=0.25)
-    assert scan_points == 2 and calls[1] == (t_pole, math.inf)
+    assert scan_points == 1 and calls[0] == (t_pole, math.inf)
+    assert calls[1][0] == 1e-4 and calls[1][1] < 1.0
     lo, hi, f_hi_inf = 1e-4, t_pole, True
     for t, r in calls[2:]:
         if f_hi_inf:
@@ -340,7 +342,7 @@ def test_threshold_refines_past_a_singular_shift_at_hi(monkeypatch):
     assert report.bracket == (lo, hi) and hi - lo <= report.bisect_tol
     r_lo, r_hi = rho_on_grid(family, "R", [lo, hi])
     assert r_lo < 1.0 <= r_hi < math.inf
-    assert len(calls) <= scan_points + 6
+    assert len(calls) <= 2 + 6
 
 
 @pytest.mark.parametrize("generator", ["imaging", "general_psd"])
@@ -439,20 +441,24 @@ def seeded_family(generator, seed, n_max):
 @pytest.mark.parametrize("generator", ["imaging", "general_psd"])
 def test_certified_slices_have_radius_below_the_certified_bound(generator):
     # Each slice is certified twice: as built, and as the similar matrix in B's eigenbasis.
+    # The first scan point eps0 = 1e-4 is in, where rho is within about 1e-4 of 1.
     certified = {"built": 0, "eigenbasis": 0}
+    past_64 = {"built": 0, "eigenbasis": 0}
     for seed in range(30):
         family = seeded_family(generator, seed, 30)
-        ts = np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]
+        ts = np.concatenate([[1e-4], np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]])
         for which in ("P", "R"):
             similar = stability._same_spectrum(family, which)
             stack, ok = stability._operator_stack(family, which, ts)
             radii = rho_stack(stack)
             for t, m, r in zip(ts[ok], stack, radii):
                 for basis, cand in (("built", m), ("eigenbasis", similar(t))):
-                    if stability._certified_stable(cand):
+                    if k := stability._certified_stable(cand):
                         certified[basis] += 1
-                        assert r < 2.0 ** (-1.0 / 64.0), (basis, seed, which, t)
+                        past_64[basis] += k > 64
+                        assert r < 2.0 ** (-1.0 / k), (basis, seed, which, t, k)
     assert min(certified.values()) >= 1000  # the sweep is not vacuous in either basis
+    assert min(past_64.values()) >= 20  # nor are the powers past k = 64
 
 
 def assert_certificate_changes_no_report(monkeypatch, family, scan_max, grid_steps=(None, 0.1875)):
@@ -513,8 +519,8 @@ def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
     # Certifying the built M(t) still costs a build per point: 15 P_stack and 16 LU builds.
     family = imaging_family_64()
     for which, classification, most_eigensolves, most_builds in [
-        ("P", "stable_then_unstable", 5, 5),  # eps0, the crossing, the point before it, two secant points
-        ("R", "stable_throughout_scan", 1, 1),  # eps0, where rho(R) is within 1e-4 of 1
+        ("P", "stable_then_unstable", 4, 4),  # the crossing, the point before it, two secant points
+        ("R", "stable_throughout_scan", 0, 0),  # eps0, where rho(R) is within 1e-4 of 1, certifies too
     ]:
         lu_calls = 0
         real_lu = spectral._lu_solve_each
@@ -531,6 +537,19 @@ def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
         assert report.classification == classification
         assert len(calls) <= most_eigensolves
         assert lu_calls <= (most_builds if which == "R" else 0)
+
+
+@pytest.mark.parametrize("which, eigensolves", [("P", 4), ("R", 0)])
+def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, eigensolves):
+    # The n = 64 pair of CI's thread-count step. eps0, where rho is 1 - O(1e-4), certifies
+    # only past k = 64: before that, P took 5 eigensolves and builds and R 1 of each.
+    rng = np.random.default_rng(64)
+    w = kernel_denoiser(rng.uniform(0.0, 1.0, size=64), 0.5)
+    family = make_family(w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), 64)))
+    budget_builders(monkeypatch, eigensolves)  # one build per eigensolved point
+    report, calls, _ = recorded_threshold(monkeypatch, family, which, scan_max=3.0, grid_step=0.1875)
+    assert report.classification == ("stable_then_unstable" if which == "P" else "stable_throughout_scan")
+    assert len(calls) == eigensolves and all(math.isfinite(r) for _, r in calls)
 
 
 def test_eigenbasis_operator_is_similar_and_guarded():
@@ -614,7 +633,10 @@ def test_threshold_eigensolves_only_inside_rho_on_grid(monkeypatch, which, b):
 
     monkeypatch.setattr(stability, "rho_on_grid", grid)
     monkeypatch.setattr(stability, "rho_stack", stack)
-    stability_threshold(make_family(validate_stochastic(W_BLUR), b), which, scan_max=8.0, grid_step=0.1875)
+    # Every case crosses before 20 (R of the non-symmetric B near t = 17.9), so the
+    # crossing and its refinement are eigensolved even where each scan point certifies.
+    report = stability_threshold(make_family(validate_stochastic(W_BLUR), b), which, scan_max=20.0, grid_step=0.1875)
+    assert report.classification == "stable_then_unstable"
     assert eigensolves >= 1
 
 
