@@ -85,8 +85,13 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
     Stops when the relative successive difference falls below tol or at
     max_iter; non-convergence is reported via converged=False, never as an
     error. Error norms are measured against the affine fixed point when
-    I - P(t) is invertible.
+    I - P(t) is invertible. A tol that is negative or not finite, or a
+    negative max_iter, raises ValueError.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     p, c = affine_map(problem)
     try:
         x_star = solve_linear(np.eye(problem.W.n) - p, c)

@@ -76,34 +76,40 @@ _CERT_NORM = 0.5  # ||M^k||_F <= 1/2 gives rho(M) <= 2^(-1/k) <= 2^(-1/65536) < 
 _PIVOT_RTOL = 1e-13  # an LU pivot at or below _PIVOT_RTOL * ||A||_inf fails the pivot test
 
 
-def _certified_stable(m: np.ndarray) -> int:
-    """The first power k = 2, 4, ..., 2^16 with ||M^k||_F <= 1/2, or 0 if none is found.
+def _certified_powers(stack: np.ndarray) -> np.ndarray:
+    """For each matrix M of an (m, n, n) stack, the first power k = 2, 4, ..., 2^16 with
+    ||M^k||_F <= 1/2, or 0 if none is found.
 
-    A k > 0 proves rho(m) <= 2^(-1/k) < 1 - 1.06e-5 without an eigensolve, since
+    A k > 0 proves rho(M) <= 2^(-1/k) < 1 - 1.06e-5 without an eigensolve, since
     rho(M)^k = rho(M^k) <= ||M^k||_F (Gelfand; Horn & Johnson, Matrix Analysis, Thm 5.6.9):
     a non-normal M with ||M|| > 1 certifies once its powers decay; a non-finite power never does.
-    Past k = 64 it squares on only while ||M^k||_F decreases fast enough that the last rate,
+    Past k = 64 a slice squares on only while ||M^k||_F decreases fast enough that the last rate,
     ||M^k||_F / ||M^(k/2)||_F per k/2 steps, would reach 1/2 by k = 2^16; a norm that does not
     strictly decrease stops it. For a normal M, log ||M^k||_F is convex in k, so that rate only
     slows and no power that certifies is lost.
     Powers that have settled by k = 64, as those of the identity, a rotation or a stochastic W
-    have, stop at k = 128.
+    have, stop at k = 128. One `@` squares every undecided slice; a decided slice leaves the
+    stack, so the rule is the one each slice would meet on its own.
     """
+    powers = np.zeros(len(stack), dtype=int)
+    live = np.arange(len(stack))
     prev = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for squarings in range(1, _CERT_SQUARINGS + 1):
-            m = m @ m
-            norm = np.linalg.norm(m)
-            if norm <= _CERT_NORM:
-                return 2**squarings
-            if not np.isfinite(norm):
-                return 0
+            if not live.size:
+                break
+            stack = stack @ stack
+            norm = np.sqrt(np.einsum("ijk,ijk->i", stack, stack))  # ||M^k||_F of each slice
+            certified = norm <= _CERT_NORM
+            powers[live[certified]] = 2**squarings
+            going = ~certified & np.isfinite(norm)
             if squarings > _CERT_ALWAYS:
                 steps_left = 2 ** (_CERT_SQUARINGS + 1 - squarings) - 2  # steps of k/2 from k to 2^16
-                if norm * (norm / prev) ** steps_left > _CERT_NORM:
-                    return 0
-            prev = norm
-    return 0
+                going &= norm * (norm / prev) ** steps_left <= _CERT_NORM
+            if not going.all():  # a copy of the stack costs as much as its norms; skip it when none leaves
+                live, stack = live[going], stack[going]
+            prev = norm[going]
+    return powers
 
 
 def symmetric_eigenvalues(s) -> np.ndarray:

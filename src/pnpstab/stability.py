@@ -49,7 +49,7 @@ from .operators import (
     make_family,
     predicted_slope,
 )
-from .spectral import _PIVOT_RTOL, _certified_stable, rho_stack
+from .spectral import _PIVOT_RTOL, _certified_powers, rho_stack
 
 __all__ = [
     "StabilityProfile",
@@ -105,17 +105,17 @@ def _operator_stack(family: OperatorFamily, which: str, ts: np.ndarray) -> tuple
 
 
 def _same_spectrum(family: OperatorFamily, which: str):
-    """t -> a matrix with the spectrum of P(t) or R(t), or None at a singular shift.
+    """ts -> (m, ok): m stacks a matrix with the spectrum of P(t) or R(t) at the t that ok
+    masks, as `_operator_stack` does (for R, ok is False at a singular shift).
 
     For B = Q diag(lam) Q^T exactly symmetric and W~ = Q^T W Q, that is W~ diag(1 - t lam)
-    for P, and I - W~ + diag(1 / (1 + t lam)) (2 W~ - I) for R where I + tB surely passes
-    the pivot test (every 1 + t lam >= 1/2, cond(I + tB) n^1.5 <= 1e10): no solve, no
-    matmul. Anywhere else it is M(t) as `_operator_stack` builds it.
+    for P, and I - W~ + diag(1 / (1 + t lam)) (2 W~ - I) for R at each t where I + tB surely
+    passes the pivot test (every 1 + t lam >= 1/2, cond(I + tB) n^1.5 <= 1e10): no solve, no
+    matmul. At every other t it is M(t) as `_operator_stack` builds it.
     """
 
-    def built(t: float):
-        m, ok = _operator_stack(family, which, np.array([t]))
-        return m[0] if ok[0] else None
+    def built(ts: np.ndarray):
+        return _operator_stack(family, which, ts)
 
     b = family.B
     if not np.array_equal(b, b.T):
@@ -126,20 +126,26 @@ def _same_spectrum(family: OperatorFamily, which: str):
         return built
     w = q.T @ family.W.matrix @ q
     if which == "P":
-        return lambda t: w * (1.0 - t * lam)
+        return lambda ts: (w * (1.0 - ts[:, None] * lam)[:, None, :], np.ones(len(ts), dtype=bool))
     eye = np.eye(family.n)
     i_minus_w, two_w_minus_i = eye - w, 2.0 * w - eye
     size_factor = family.n**1.5
 
-    def r_similar(t: float):
+    def r_similar(ts: np.ndarray):
         # shift holds the eigenvalues of A = I + tB, ascending for t > 0. With shift[0] > 0,
         # U^-1 = A^-1 P^T L and |L_ij| <= 1 give |U pivots| >= shift[0] / n, and
         # ||A||_inf <= n^0.5 shift[-1], so the guard keeps a factor 1e3 between every
         # pivot and the _PIVOT_RTOL ||A||_inf pivot test.
-        shift = 1.0 + t * lam
-        if not (shift[0] >= 0.5 and shift[-1] * size_factor <= 1e-3 / _PIVOT_RTOL * shift[0]):
-            return built(t)
-        return i_minus_w + two_w_minus_i / shift[:, None]
+        shift = 1.0 + ts[:, None] * lam
+        guarded = (shift[:, 0] >= 0.5) & (shift[:, -1] * size_factor <= 1e-3 / _PIVOT_RTOL * shift[:, 0])
+        if guarded.all():
+            return i_minus_w + two_w_minus_i / shift[:, :, None], guarded
+        ok = guarded.copy()
+        rest, ok[~guarded] = built(ts[~guarded])
+        m = np.empty((int(ok.sum()), family.n, family.n))
+        m[guarded[ok]] = i_minus_w + two_w_minus_i / shift[guarded][:, :, None]
+        m[~guarded[ok]] = rest
+        return m, ok
 
     return r_similar
 
@@ -242,7 +248,8 @@ class ThresholdReport:
     declared scan window: rho is not monotone in t, so T_star is the first
     crossing at the scanned resolution, not a global supremum. Every rho
     is a `rho_on_grid` value; scan points that ||M^k||_F <= 1/2 proves
-    stable cost no eigensolve and change no field.
+    stable, certified a block of scan points at a time, cost no eigensolve
+    and change no field.
     """
 
     which: str
@@ -272,16 +279,19 @@ def stability_threshold(
     refined by Illinois regula falsi on rho - 1 until the bracket is no
     wider than bisect_tol, or until its ends are adjacent floats when
     bisect_tol is finer than the float spacing at the crossing. Every rho is
-    a one-point `rho_on_grid` value. A scan point is first certified:
-    some ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16; past 64 only while the powers
-    decay) of a matrix M with the spectrum of P(t) or R(t) (`_same_spectrum`)
-    proves rho <= 2^(-1/k) < 1 - 1.06e-5 without an eigensolve, which spares
-    the point eps0, where rho is near 1 - eps0 pi^T B e. M in B's eigenbasis
-    is within O(n eps ||W||) of a matrix exactly similar, as a built M is
-    within the rounding of its build, so an eigenvalue moves by about
-    kappa(lambda) n eps. The certified bound sits 1.06e-5 below 1, so every
-    report is the one an eigensolve at every scan point gives while
-    kappa(lambda) n eps << 1e-5.
+    a one-point `rho_on_grid` value. The scan points are certified first, a
+    block of `rho_on_grid`'s block size at a time, by one stacked squaring
+    (`spectral._certified_powers`): some ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16;
+    past 64 only while the powers decay) of a matrix M with the spectrum of
+    P(t) or R(t) (`_same_spectrum`) proves rho <= 2^(-1/k) < 1 - 1.06e-5
+    without an eigensolve, which spares the point eps0, where rho is near
+    1 - eps0 pi^T B e. The block is then walked in order: a certified point
+    costs nothing, any other point is eigensolved, and nothing past the
+    first crossing is eigensolved. M in B's eigenbasis is within
+    O(n eps ||W||) of a matrix exactly similar, as a built M is within the
+    rounding of its build, so an eigenvalue moves by about kappa(lambda) n eps.
+    The certified bound sits 1.06e-5 below 1, so every report is the one an
+    eigensolve at every scan point gives while kappa(lambda) n eps << 1e-5.
     """
     _check_which(which)
     if grid_step is None:
@@ -305,21 +315,31 @@ def stability_threshold(
 
     same_spectrum = _same_spectrum(family, which)
 
-    def f(t: float, certify: bool = False) -> float | None:
-        # None if certify proves rho < 1 on a matrix with the spectrum of M(t); else rho - 1 as
-        # rho_on_grid gives it (inf at a singular shift).
-        if certify and (m := same_spectrum(t)) is not None and _certified_stable(m):
-            return None
+    def f(t: float) -> float:
+        # rho - 1 as rho_on_grid gives it (inf at a singular shift).
         r = float(rho_on_grid(family, which, [t])[0])
         if math.isnan(r):
             raise NoConvergenceError(iterations=-1, residual=float("nan"))
         return r - 1.0
 
+    def scan():
+        # (t, f(t)) in scan order, with f(t) None where the block's certificate proves rho < 1.
+        # Points past a crossing are squared with their block but never eigensolved.
+        t = eps0
+        edge = scan_max * (1.0 + 1e-12)
+        while t <= edge:
+            block = []
+            while t <= edge and len(block) < _block_points(family.n):
+                block.append(t)
+                t += grid_step
+            m, ok = same_spectrum(np.array(block))
+            certified = np.zeros(len(block), dtype=bool)
+            certified[ok] = _certified_powers(m) > 0
+            for t_k, proved in zip(block, certified):
+                yield t_k, None if proved else f(t_k)
+
     prev = f_prev = None
-    t = eps0
-    edge = scan_max * (1.0 + 1e-12)
-    while t <= edge:
-        f_t = f(t, certify=True)
+    for t, f_t in scan():
         if f_t is not None and f_t >= 0.0:
             if prev is None:
                 return report("unstable_from_start")
@@ -346,7 +366,6 @@ def stability_threshold(
                     kept = "hi"
             return report("stable_then_unstable", t_star=0.5 * (lo + hi), bracket=(lo, hi))
         prev, f_prev = t, f_t
-        t += grid_step
     return report("stable_throughout_scan")
 
 
@@ -551,6 +570,8 @@ def run_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n_min, n_max = n_range
     if not (2 <= n_min <= n_max):
         raise ValueError("need 2 <= n_min <= n_max")

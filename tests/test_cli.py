@@ -160,6 +160,15 @@ def test_fuzz_command_worker_invariance(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_fuzz_command_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    # Both ran the trials serially and exited 0.
+    out = tmp_path / "fuzz.jsonl"
+    assert main(["fuzz", "--trials", "2", "--workers", workers, "--out", str(out)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuzz_command_exits_1_on_a_violation(tmp_path, capsys):
     # Seed 523 meets the four encoded conjecture hypotheses and violates the bound.
     out = tmp_path / "fuzz_523.jsonl"
@@ -182,6 +191,18 @@ def test_pnp_command_supports_all_kinds(tmp_path):
         out = tmp_path / f"{kind}.csv"
         code = main(["pnp", "--kind", kind, "--n", "6", "--t", "0.8", "--seed", "2", "--out", str(out)])
         assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-10"), ("--max-iter", "-1")]
+)
+def test_pnp_command_rejects_bad_stopping_rules(tmp_path, capsys, flag, value):
+    # --tol nan ran all 2000 iterations and reported converged=False.
+    out = tmp_path / "trace.csv"
+    args = ["pnp", "--kind", "inpainting", "--n", "8", "--t", "1.0", "--seed", "4", "--out", str(out)]
+    assert main(args + [f"{flag}={value}"]) == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repro_single_example(tmp_path, capsys):

@@ -44,6 +44,20 @@ def test_inpainting_run_converges():
     assert trace.error_norms[-1] <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": np.nan}, {"tol": np.inf}, {"tol": -1e-10}, {"max_iter": -1}], ids=["nan", "inf", "negative", "max_iter"]
+)
+def test_run_rejects_bad_stopping_rules(kwargs):
+    # A NaN tol never met its test: the run took every iteration and reported converged=False.
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        pgd_pnp_run(inpainting_problem(), x0=np.zeros(4), **kwargs)
+
+
+def test_zero_tol_and_zero_iterations_are_accepted():
+    trace = pgd_pnp_run(inpainting_problem(), x0=np.zeros(4), max_iter=0, tol=0.0)
+    assert trace.iterates_kept == 1 and not trace.converged
+
+
 def test_starting_at_fixed_point_stops_immediately():
     problem = inpainting_problem(seed=1)
     x_star = fixed_point(problem)

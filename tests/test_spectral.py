@@ -14,7 +14,7 @@ from pnpstab.matrices import validate_stochastic
 from pnpstab.operators import P_of, R_of, make_family
 from pnpstab.repro import example_family
 from pnpstab.spectral import (
-    _certified_stable,
+    _certified_powers,
     eigenvalues,
     rho,
     rho_stack,
@@ -241,10 +241,15 @@ def test_shifted_inverse_contraction_for_psd():
 # -- stability certificate ----------------------------------------------------
 
 
+def certified_power(m):
+    """The power that certifies m alone: the one-slice case of _certified_powers."""
+    return _certified_powers(np.asarray(m, dtype=float)[None])[0]
+
+
 def test_certificate_proves_a_non_normal_matrix_stable_once_its_powers_decay():
     m = np.array([[0.5, 10.0], [0.0, 0.5]])  # rho = 0.5, but ||M||_2 > 10
     assert np.linalg.norm(m, 2) > 1.0 and np.linalg.norm(m @ m) > 1.0
-    assert _certified_stable(m)
+    assert certified_power(m)
 
 
 def test_certificate_never_proves_a_unit_radius_stable():
@@ -252,25 +257,26 @@ def test_certificate_never_proves_a_unit_radius_stable():
     # for every t; the swap itself and the identity have rho = 1 too.
     family = example_family("remark_1_3_R")
     for t in (1e-4, 0.1, 0.5, 1.0, 3.0, 20.0):
-        assert not _certified_stable(P_of(family, t))
-        assert not _certified_stable(R_of(family, t))
-    assert not _certified_stable(family.W.matrix)
-    assert not _certified_stable(np.eye(3))
+        assert not certified_power(P_of(family, t))
+        assert not certified_power(R_of(family, t))
+    assert not certified_power(family.W.matrix)
+    assert not certified_power(np.eye(3))
 
 
 def squarings_taken(monkeypatch, m):
-    """(certified power, number of squarings) of _certified_stable(m): it takes one norm per square."""
+    """(certified power, number of squarings) of certified_power(m): it takes the norms of
+    a stack's slices in one np.einsum call per square."""
     norms = 0
-    real_norm = np.linalg.norm
+    real_einsum = np.einsum
 
     def counting(*args, **kwargs):
         nonlocal norms
         norms += 1
-        return real_norm(*args, **kwargs)
+        return real_einsum(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "norm", counting)
-        power = _certified_stable(m)
+        patch.setattr(np, "einsum", counting)
+        power = certified_power(m)
     return power, norms
 
 
@@ -293,11 +299,37 @@ def test_certificate_gives_up_on_a_unit_radius_by_k_128(monkeypatch):
 
 
 def test_certificate_never_certifies_non_finite_powers():
-    assert not _certified_stable(np.array([[np.nan, 0.0], [0.0, 0.1]]))
-    assert not _certified_stable(np.array([[np.inf, 0.0], [0.0, 0.1]]))
+    assert not certified_power(np.array([[np.nan, 0.0], [0.0, 0.1]]))
+    assert not certified_power(np.array([[np.inf, 0.0], [0.0, 0.1]]))
     # Nilpotent (rho = 0), but its square overflows.
     huge = 1e200 * np.array([[1.0, 1.0], [-1.0, -1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not _certified_stable(huge)
-        assert not _certified_stable(np.diag([1e200, 0.1]))
+        assert not certified_power(huge)
+        assert not certified_power(np.diag([1e200, 0.1]))
+
+
+def test_certificate_of_a_stack_gives_each_slice_its_own_power(monkeypatch):
+    rotation = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    stack = np.stack(
+        [
+            np.array([[0.5, 10.0], [0.0, 0.5]]),  # non-normal: certifies at k = 16
+            np.array([[np.nan, 0.0], [0.0, 0.1]]),  # non-finite: given up at the first square
+            np.diag([1.0 - 1e-4, 0.5]),  # certifies at k = 8192
+            rotation,  # unit radius: given up at k = 128
+        ]
+    )
+    sizes = []
+    real_einsum = np.einsum
+
+    def recording(subscripts, x, *args, **kwargs):
+        sizes.append(len(x))
+        return real_einsum(subscripts, x, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", recording)
+        powers = _certified_powers(stack)
+    assert list(powers) == [certified_power(m) for m in stack] == [16, 0, 8192, 0]
+    # One squaring of the whole stack per power; a decided slice leaves it.
+    assert sizes == [4, 3, 3, 3, 2, 2, 2] + [1] * 6
+    assert _certified_powers(np.empty((0, 3, 3))).shape == (0,)

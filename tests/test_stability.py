@@ -448,12 +448,13 @@ def test_certified_slices_have_radius_below_the_certified_bound(generator):
         family = seeded_family(generator, seed, 30)
         ts = np.concatenate([[1e-4], np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]])
         for which in ("P", "R"):
-            similar = stability._same_spectrum(family, which)
+            similar, similar_ok = stability._same_spectrum(family, which)(ts)
             stack, ok = stability._operator_stack(family, which, ts)
+            assert np.array_equal(similar_ok, ok)
             radii = rho_stack(stack)
-            for t, m, r in zip(ts[ok], stack, radii):
-                for basis, cand in (("built", m), ("eigenbasis", similar(t))):
-                    if k := stability._certified_stable(cand):
+            for t, m, e, r in zip(ts[ok], stack, similar, radii):
+                for basis, cand in (("built", m), ("eigenbasis", e)):
+                    if k := stability._certified_powers(cand[None])[0]:
                         certified[basis] += 1
                         past_64[basis] += k > 64
                         assert r < 2.0 ** (-1.0 / k), (basis, seed, which, t, k)
@@ -467,7 +468,7 @@ def assert_certificate_changes_no_report(monkeypatch, family, scan_max, grid_ste
             if grid_step is not None and grid_step >= scan_max:
                 continue
             with monkeypatch.context() as m:
-                m.setattr(stability, "_certified_stable", lambda m: False)  # certify nothing
+                m.setattr(stability, "_certified_powers", lambda stack: np.zeros(len(stack), dtype=int))  # certify nothing
                 want = stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step)
             assert stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step) == want
 
@@ -499,6 +500,51 @@ def test_certificate_changes_no_threshold_report_where_the_shift_fails_the_pivot
     report = stability_threshold(family, "R", scan_max=3e14)
     assert report.classification == "stable_then_unstable"
     assert 1e12 < report.T_star < 1e14
+
+
+def counted_certificates(monkeypatch):
+    """A list that gets the number of slices of every _certified_powers call."""
+    sizes = []
+    real = stability._certified_powers
+
+    def counting(stack):
+        sizes.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(stability, "_certified_powers", counting)
+    return sizes
+
+
+def test_threshold_certifies_the_remark_1_7_scan_in_one_call(monkeypatch):
+    # n = 2 puts 8192 points in a block, so the scan eps0, eps0 + 3/2048, ... <= 3 is one block.
+    sizes = counted_certificates(monkeypatch)
+    report = stability_threshold(example_family("remark_1_7"), "P", scan_max=3.0)
+    assert report.classification == "stable_then_unstable" and abs(report.T_star - 2.0) < 1e-6
+    assert sizes == [2048]  # one call for the whole scan (1367 one-point calls before)
+
+
+def test_threshold_crossing_at_the_first_point_of_a_block(monkeypatch):
+    # P of the blur pair crosses at t = 2. With the grid below, the last point of the
+    # first 8192-point block sits just below 2 and is certified, and the first point
+    # of the second block is the crossing, so the secant needs rho at a point of the
+    # block before, which the scan never eigensolved.
+    family = blur_family()
+    block = stability._block_points(family.n)
+    eps0 = 1e-4
+    grid_step = (2.0 - eps0) / (block - 0.5)
+    scan, t = [], eps0
+    for _ in range(block + 1):
+        scan.append(t)
+        t += grid_step
+    assert scan[block - 1] < 2.0 < scan[block]
+    with monkeypatch.context() as m:
+        sizes = counted_certificates(m)
+        report, calls, _ = recorded_threshold(m, family, "P", scan_max=3.0, grid_step=grid_step, eps0=eps0)
+    assert len(sizes) == 2 and sizes[0] == block
+    assert calls[0][0] == scan[block] and calls[0][1] >= 1.0  # the crossing is the first point eigensolved
+    assert calls[1][0] == scan[block - 1] and calls[1][1] < 1.0  # then the certified point before it
+    assert report.classification == "stable_then_unstable" and report.bracket[0] >= scan[block - 1]
+    assert_certificate_changes_no_report(monkeypatch, family, 3.0, grid_steps=(grid_step,))
 
 
 def imaging_family_64():
@@ -552,30 +598,55 @@ def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, 
     assert len(calls) == eigensolves and all(math.isfinite(r) for _, r in calls)
 
 
+def same_spectrum_at(family, which, t):
+    """The one-point case of _same_spectrum: its matrix at t, or None at a singular shift."""
+    m, ok = stability._same_spectrum(family, which)(np.array([t]))
+    return m[0] if ok[0] else None
+
+
 def test_eigenbasis_operator_is_similar_and_guarded():
     # Past each guard, and for a B that is not exactly symmetric, the matrix is M(t) as built.
     w = validate_stochastic(W_BLUR)
     indefinite = make_family(w, np.diag([0.5, -0.25]))  # 1 + t lam_min >= 1/2 up to t = 2
     for which, build in (("P", P_of), ("R", R_of)):
-        similar = stability._same_spectrum(indefinite, which)
         for t in (0.5, 1.9):
+            similar = same_spectrum_at(indefinite, which, t)
             want = np.sort_complex(np.linalg.eigvals(build(indefinite, t)))
-            assert not np.array_equal(similar(t), build(indefinite, t))  # the eigenbasis form
-            assert np.allclose(np.sort_complex(np.linalg.eigvals(similar(t))), want, rtol=0, atol=1e-12)
-    assert not np.array_equal(stability._same_spectrum(indefinite, "P")(2.1), P_of(indefinite, 2.1))  # P needs no solve
-    r_similar = stability._same_spectrum(indefinite, "R")
-    assert not np.array_equal(r_similar(2.0), R_of(indefinite, 2.0))
-    assert np.array_equal(r_similar(2.1), R_of(indefinite, 2.1))
+            assert not np.array_equal(similar, build(indefinite, t))  # the eigenbasis form
+            assert np.allclose(np.sort_complex(np.linalg.eigvals(similar)), want, rtol=0, atol=1e-12)
+    assert not np.array_equal(same_spectrum_at(indefinite, "P", 2.1), P_of(indefinite, 2.1))  # P needs no solve
+    assert not np.array_equal(same_spectrum_at(indefinite, "R", 2.0), R_of(indefinite, 2.0))
+    assert np.array_equal(same_spectrum_at(indefinite, "R", 2.1), R_of(indefinite, 2.1))
     wide_family = make_family(w, np.diag([1.0, 0.0]))
-    wide = stability._same_spectrum(wide_family, "R")
-    assert not np.array_equal(wide(1e9), R_of(wide_family, 1e9))
-    assert np.array_equal(wide(1e11), R_of(wide_family, 1e11))  # cond(I + tB) n^1.5 past 1e10
-    assert wide(1e13) is None  # I + tB fails the pivot test: a singular shift, as for R_of
+    assert not np.array_equal(same_spectrum_at(wide_family, "R", 1e9), R_of(wide_family, 1e9))
+    assert np.array_equal(same_spectrum_at(wide_family, "R", 1e11), R_of(wide_family, 1e11))  # cond(I + tB) n^1.5 past 1e10
+    assert same_spectrum_at(wide_family, "R", 1e13) is None  # I + tB fails the pivot test: a singular shift, as for R_of
     with pytest.raises(SingularShiftError):
         R_of(wide_family, 1e13)
     non_symmetric = make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]]))
     for which, build in (("P", P_of), ("R", R_of)):
-        assert np.array_equal(stability._same_spectrum(non_symmetric, which)(0.5), build(non_symmetric, 0.5))
+        assert np.array_equal(same_spectrum_at(non_symmetric, which, 0.5), build(non_symmetric, 0.5))
+
+
+@pytest.mark.parametrize(
+    "b, ts",
+    [
+        (np.diag([0.5, -0.25]), [0.5, 2.1, 1.9, 3.0, 2.0]),  # the guard 1 + t lam_min >= 1/2, both ways
+        (np.diag([1.0, 0.0]), [1e9, 1e13, 1e11, 1.0, 1e13]),  # the cond(I + tB) guard and singular shifts
+        (np.array([[0.5, 0.2], [0.1, 0.3]]), [0.5, 1.0, 17.9]),  # not symmetric: every point built
+    ],
+    ids=["indefinite", "wide", "non_symmetric"],
+)
+@pytest.mark.parametrize("which", ["P", "R"])
+def test_same_spectrum_of_a_block_is_its_points_one_by_one(which, b, ts):
+    # The guard is evaluated per t, so a block mixes the eigenbasis form, built points
+    # and singular shifts; each slice is bitwise its one-point matrix.
+    family = make_family(validate_stochastic(W_BLUR), b)
+    m, ok = stability._same_spectrum(family, which)(np.array(ts))
+    points = [same_spectrum_at(family, which, t) for t in ts]
+    assert list(ok) == [p is not None for p in points]
+    assert len(m) == sum(ok)
+    assert all(np.array_equal(a, p) for a, p in zip(m, [p for p in points if p is not None]))
 
 
 def test_threshold_falls_back_to_built_operators_when_eigh_fails(monkeypatch):
@@ -594,7 +665,7 @@ def test_threshold_scan_past_the_eigenbasis_guard_builds_each_point(monkeypatch)
     real_build = stability.R_stack
 
     def recording(w, b, ts):
-        built.append(float(ts[0]))
+        built.extend(map(float, ts))
         return real_build(w, b, ts)
 
     monkeypatch.setattr(stability, "R_stack", recording)
@@ -910,6 +981,8 @@ def singular_slope_family():
         (lambda: run_campaign(1, n_range=(4, 3)), ValueError, "n_min"),
         (lambda: run_campaign(1, generators=()), ValueError, "at least one generator"),
         (lambda: run_campaign(1, generators=("bogus",)), ValueError, "unknown generator"),
+        (lambda: run_campaign(1, workers=0), ValueError, "workers"),
+        (lambda: run_campaign(1, workers=-2), ValueError, "workers"),
         (lambda: check_theorem_bound(blur_family(), "conjecture", grid_steps=0), InvalidGridError, "grid_steps"),
         (lambda: slope_check(blur_family(), "P", h=0.0), ValueError, "h must be positive"),
         (lambda: slope_check(blur_family(), "R", h=-1e-5), ValueError, "h must be positive"),
@@ -922,6 +995,8 @@ def singular_slope_family():
         "campaign_n_min_above_n_max",
         "campaign_no_generator",
         "campaign_unknown_generator",
+        "campaign_zero_workers",
+        "campaign_negative_workers",
         "bound_check_zero_grid_steps",
         "slope_zero_h",
         "slope_negative_h",
