@@ -100,8 +100,8 @@ def validate_stochastic(entries, tol: float = 1e-10) -> StochasticMatrix:
     downstream. Entries below -tol or row sums off by more than tol are
     rejected.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     m = as_square_matrix(entries).copy()
     neg = np.argwhere(m < -tol)
     if neg.size:

@@ -47,6 +47,8 @@ class InverseProblem:
             raise ValueError(f"A has {a.shape[1]} columns but W is {self.W.n}x{self.W.n}")
         if b.size != a.shape[0]:
             raise ValueError(f"b has length {b.size} but A has {a.shape[0]} rows")
+        if not np.isfinite(b).all():
+            raise ValueError("b has non-finite entries")
         if not (np.isfinite(self.t) and self.t > 0):
             raise ValueError("step size t must be positive")
         object.__setattr__(self, "A", a)

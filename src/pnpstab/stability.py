@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -81,8 +82,7 @@ _SUITE_SLACK = 1e-10
 _REJECTION_ROUNDS = 1000
 
 # Float64 entries of one stacked block of P(t) or R(t) matrices (256 KiB).
-# At n >= 182 a block is a single matrix, so large families keep the memory
-# of one point and a scan stops at the first block holding a crossing.
+# At n >= 182 a block is a single matrix, so large families keep the memory of one point.
 _BLOCK_ENTRIES = 2**15
 
 
@@ -95,40 +95,31 @@ def _check_which(which: str) -> None:
         raise ValueError(f"which must be 'P' or 'R', got {which!r}")
 
 
-def _operator_stack(family: OperatorFamily, which: str, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (m, ok): m stacks P(t) or R(t) at the t that ok masks (for R, where I + tB passes the pivot test).
-    # Callers have passed `which` through _check_which.
-    w, b = family.W.matrix, family.B
-    if which == "P":
-        return P_stack(w, b, ts), np.ones(len(ts), dtype=bool)
-    return R_stack(w, b, ts)
-
-
 def _same_spectrum(family: OperatorFamily, which: str):
     """ts -> (m, ok): m stacks a matrix with the spectrum of P(t) or R(t) at the t that ok
-    masks, as `_operator_stack` does (for R, ok is False at a singular shift).
+    masks (for R, ok is False at a singular shift, as in `operators.R_stack`).
 
-    For B = Q diag(lam) Q^T exactly symmetric and W~ = Q^T W Q, that is W~ diag(1 - t lam)
-    for P, and I - W~ + diag(1 / (1 + t lam)) (2 W~ - I) for R at each t where I + tB surely
-    passes the pivot test (every 1 + t lam >= 1/2, cond(I + tB) n^1.5 <= 1e10): no solve, no
-    matmul. At every other t it is M(t) as `_operator_stack` builds it.
+    P(t) = W (I - tB) = W - t WB is affine in t, so for P it is W - t WB, with WB formed once,
+    for any B. For R with B = Q diag(lam) Q^T exactly symmetric and W~ = Q^T W Q, it is
+    I - W~ + diag(1 / (1 + t lam)) (2 W~ - I) at each t where I + tB surely passes the pivot
+    test (every 1 + t lam >= 1/2, cond(I + tB) n^1.5 <= 1e10): no solve, no matmul. At every
+    other t it is R(t) as `R_stack` builds it.
     """
+    w, b = family.W.matrix, family.B
+    if which == "P":
+        wb = w @ b
+        return lambda ts: (w - ts[:, None, None] * wb, np.ones(len(ts), dtype=bool))
 
-    def built(ts: np.ndarray):
-        return _operator_stack(family, which, ts)
-
-    b = family.B
+    built = partial(R_stack, w, b)  # ts -> (R(t) stack, ok)
     if not np.array_equal(b, b.T):
         return built
     try:
         lam, q = np.linalg.eigh(b)
     except np.linalg.LinAlgError:
         return built
-    w = q.T @ family.W.matrix @ q
-    if which == "P":
-        return lambda ts: (w * (1.0 - ts[:, None] * lam)[:, None, :], np.ones(len(ts), dtype=bool))
+    w_tilde = q.T @ w @ q
     eye = np.eye(family.n)
-    i_minus_w, two_w_minus_i = eye - w, 2.0 * w - eye
+    i_minus_w, two_w_minus_i = eye - w_tilde, 2.0 * w_tilde - eye
     size_factor = family.n**1.5
 
     def r_similar(ts: np.ndarray):
@@ -166,10 +157,15 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
         raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
     if not np.isfinite(ts).all() or (which == "R" and (ts < 0.0).any()):
         raise ValueError("t must be finite, and nonnegative for R")
+    w, b = family.W.matrix, family.B
     radii = np.full(ts.size, np.inf)
     step = _block_points(family.n)
     for lo in range(0, ts.size, step):
-        m, ok = _operator_stack(family, which, ts[lo : lo + step])
+        block = ts[lo : lo + step]
+        if which == "P":
+            m, ok = P_stack(w, b, block), np.ones(block.size, dtype=bool)
+        else:
+            m, ok = R_stack(w, b, block)  # ok masks the t where I + tB passes the pivot test
         if len(m):  # m stacks only the defined points; a block of singular shifts has none
             radii[lo : lo + step][ok] = rho_stack(m)
     return radii
@@ -179,22 +175,19 @@ def _first_unstable(family: OperatorFamily, ts: np.ndarray, limit: float, whiche
     """First (k, which, rho) in grid order with rho >= limit, or None.
 
     At each t the operators are tried in the order of `whiches`; a singular
-    shift counts as rho = inf. Blocks are evaluated lazily, so nothing past
-    the block holding the first crossing is computed. An eigensolver
-    failure met before any crossing raises NoConvergenceError.
+    shift counts as rho = inf. Each operator is evaluated on the whole grid
+    by one `rho_on_grid` call. An eigensolver failure met before any
+    crossing raises NoConvergenceError; one past it is ignored.
     """
-    step = _block_points(family.n)
-    for lo in range(0, ts.size, step):
-        block = ts[lo : lo + step]
-        radii = np.column_stack([rho_on_grid(family, which, block) for which in whiches]).ravel()
-        bad = np.flatnonzero(~(radii < limit))
-        if bad.size:
-            r = float(radii[bad[0]])
-            if math.isnan(r):
-                raise NoConvergenceError(iterations=-1, residual=float("nan"))
-            k, j = divmod(int(bad[0]), len(whiches))
-            return lo + k, whiches[j], r
-    return None
+    radii = np.column_stack([rho_on_grid(family, which, ts) for which in whiches]).ravel()
+    bad = np.flatnonzero(~(radii < limit))
+    if not bad.size:
+        return None
+    r = float(radii[bad[0]])
+    if math.isnan(r):
+        raise NoConvergenceError(iterations=-1, residual=float("nan"))
+    k, j = divmod(int(bad[0]), len(whiches))
+    return k, whiches[j], r
 
 
 @dataclass(frozen=True)
@@ -287,9 +280,10 @@ def stability_threshold(
     without an eigensolve, which spares the point eps0, where rho is near
     1 - eps0 pi^T B e. The block is then walked in order: a certified point
     costs nothing, any other point is eigensolved, and nothing past the
-    first crossing is eigensolved. M in B's eigenbasis is within
-    O(n eps ||W||) of a matrix exactly similar, as a built M is within the
-    rounding of its build, so an eigenvalue moves by about kappa(lambda) n eps.
+    first crossing is eigensolved. M = W - t WB is P(t) up to the rounding
+    of one product and R in B's eigenbasis is within O(n eps ||W||) of a
+    matrix exactly similar, as a built M is within the rounding of its
+    build, so an eigenvalue moves by about kappa(lambda) n eps.
     The certified bound sits 1.06e-5 below 1, so every report is the one an
     eigensolve at every scan point gives while kappa(lambda) n eps << 1e-5.
     """
@@ -552,6 +546,8 @@ def _trial_n(seed: int, n_min: int, n_max: int) -> int:
 
 
 def _run_trial_spec(spec: tuple[int, str, int]) -> ConjectureTrialResult:
+    # The pool pickles this function by name. Mapping `conjecture_trial` itself fails with PicklingError
+    # once a wrapper with another `__module__` (a tracer's, say) replaces the public name.
     n, generator, seed = spec
     return conjecture_trial(n, generator, seed)
 

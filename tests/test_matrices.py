@@ -46,6 +46,19 @@ def test_rejects_negative_entry():
     assert exc.value.index == (0, 1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "entries",
+    [[[5.0, 1.0], [2.0, 2.0]], [[-1.0, -2.0], [0.5, 0.5]]],
+    ids=["row_sums_off", "negative_row"],
+)
+def test_rejects_non_finite_tolerance(entries, tol):
+    # A NaN tol failed no test: [[5, 1], [2, 2]] was renormalized and admitted, and the
+    # negative row came back as NaN.
+    with pytest.raises(ValueError, match="tol"):
+        validate_stochastic(entries, tol=tol)
+
+
 def test_rejects_non_square():
     with pytest.raises(NotSquareError):
         validate_stochastic(np.ones((2, 3)) / 3)

@@ -182,3 +182,13 @@ def test_problem_validates_shapes():
         InverseProblem(A=op, b=np.zeros(2), W=w, t=1.0)
     with pytest.raises(ValueError):
         InverseProblem(A=op, b=np.zeros(3), W=w, t=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_observation(bad):
+    # A NaN in b ran every iteration of pgd_pnp_run and returned NaN losses.
+    problem = inpainting_problem()
+    b = problem.b.copy()
+    b[1] = bad
+    with pytest.raises(ValueError, match="b"):
+        InverseProblem(A=problem.A, b=b, W=problem.W, t=1.0)

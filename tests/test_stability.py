@@ -10,7 +10,9 @@ from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
 from pnpstab.operators import (
     P_of,
+    P_stack,
     R_of,
+    R_stack,
     build_deblur,
     build_inpainting,
     conjecture_hypotheses,
@@ -182,6 +184,78 @@ def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch
         check_theorem_bound(family, "conjecture")
     with pytest.raises(NoConvergenceError):
         slope_check(family, "R")
+
+
+# -- _first_unstable (fuzz and check) against the per-point path ---------------
+
+
+def first_unstable_reference(family, ts, limit, whiches):
+    """The per-point reference of _first_unstable: grid order, `whiches` in order at each t."""
+    radii = {which: per_point_rho(family, which, ts) for which in whiches}
+    for k in range(ts.size):
+        for which in whiches:
+            if not radii[which][k] < limit:
+                return k, which, float(radii[which][k])
+    return None
+
+
+def multi_block_case(n, seed, upper):
+    family = stability._imaging_instance(np.random.default_rng([seed, n]), n)
+    return family, stability._open_grid(upper / family.rho_B, 512)
+
+
+@pytest.mark.parametrize(
+    "n, seed, upper, whiches, block_of_crossing",
+    [
+        (12, 0, 12.0, ("P", "R"), 0),
+        (16, 1, 12.0, ("P", "R"), 0),
+        (16, 1, 12.0, ("R", "P"), 0),
+        (24, 0, 6.0, ("P", "R"), 3),
+        (20, 0, 2.0, ("P", "R"), None),
+        (24, 2, 12.0, ("R",), None),
+    ],
+)
+def test_first_unstable_on_several_blocks_is_the_per_point_scan(n, seed, upper, whiches, block_of_crossing):
+    family, ts = multi_block_case(n, seed, upper)
+    block = stability._block_points(n)
+    assert ts.size > 2 * block  # at least three blocks
+    got = stability._first_unstable(family, ts, 1.0 - 1e-12, whiches)
+    assert got == first_unstable_reference(family, ts, 1.0 - 1e-12, whiches)
+    assert (None if got is None else got[0] // block) == block_of_crossing
+
+
+def eigvals_failing_at(monkeypatch, matrices):
+    """np.linalg.eigvals that fails on every stack and on each of `matrices`, so
+    rho_stack retries slice by slice and gives NaN at those matrices only."""
+    real_eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.ndim(a) > 2 or any(np.array_equal(a, m) for m in matrices):
+            raise np.linalg.LinAlgError("no convergence")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+
+
+def test_first_unstable_ignores_an_eigensolver_failure_past_the_crossing(monkeypatch):
+    family, ts = multi_block_case(16, 1, 12.0)
+    block = stability._block_points(16)
+    want = stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R"))
+    assert want[0] < block  # the crossing is in the first block; the failures are in later ones
+    eigvals_failing_at(monkeypatch, [P_of(family, ts[block + 3]), R_of(family, ts[3 * block])])
+    assert math.isnan(rho_on_grid(family, "P", ts)[block + 3]) and math.isnan(rho_on_grid(family, "R", ts)[3 * block])
+    assert stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R")) == want
+
+
+def test_first_unstable_raises_at_an_eigensolver_failure_before_the_crossing(monkeypatch):
+    family, ts = multi_block_case(24, 0, 6.0)
+    block = stability._block_points(24)
+    k = stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R"))[0]
+    assert k >= 3 * block  # the crossing is in the fourth block; the failure is in the second
+    eigvals_failing_at(monkeypatch, [R_of(family, ts[block + 5])])
+    assert math.isnan(rho_on_grid(family, "R", ts)[block + 5])
+    with pytest.raises(NoConvergenceError):
+        stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R"))
 
 
 # -- profiles -----------------------------------------------------------------
@@ -440,25 +514,27 @@ def seeded_family(generator, seed, n_max):
 
 @pytest.mark.parametrize("generator", ["imaging", "general_psd"])
 def test_certified_slices_have_radius_below_the_certified_bound(generator):
-    # Each slice is certified twice: as built, and as the similar matrix in B's eigenbasis.
+    # Each slice is certified twice: as P_stack/R_stack build it, and in _same_spectrum's
+    # form (W - t WB for P, the similar matrix in B's eigenbasis for R).
     # The first scan point eps0 = 1e-4 is in, where rho is within about 1e-4 of 1.
-    certified = {"built": 0, "eigenbasis": 0}
-    past_64 = {"built": 0, "eigenbasis": 0}
+    certified = {"built": 0, "same_spectrum": 0}
+    past_64 = {"built": 0, "same_spectrum": 0}
     for seed in range(30):
         family = seeded_family(generator, seed, 30)
         ts = np.concatenate([[1e-4], np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]])
+        w, b = family.W.matrix, family.B
         for which in ("P", "R"):
             similar, similar_ok = stability._same_spectrum(family, which)(ts)
-            stack, ok = stability._operator_stack(family, which, ts)
+            stack, ok = (P_stack(w, b, ts), np.ones(ts.size, dtype=bool)) if which == "P" else R_stack(w, b, ts)
             assert np.array_equal(similar_ok, ok)
             radii = rho_stack(stack)
             for t, m, e, r in zip(ts[ok], stack, similar, radii):
-                for basis, cand in (("built", m), ("eigenbasis", e)):
+                for basis, cand in (("built", m), ("same_spectrum", e)):
                     if k := stability._certified_powers(cand[None])[0]:
                         certified[basis] += 1
                         past_64[basis] += k > 64
                         assert r < 2.0 ** (-1.0 / k), (basis, seed, which, t, k)
-    assert min(certified.values()) >= 1000  # the sweep is not vacuous in either basis
+    assert min(certified.values()) >= 1000  # the sweep is not vacuous in either form
     assert min(past_64.values()) >= 20  # nor are the powers past k = 64
 
 
@@ -585,17 +661,44 @@ def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
         assert lu_calls <= (most_builds if which == "R" else 0)
 
 
-@pytest.mark.parametrize("which, eigensolves", [("P", 4), ("R", 0)])
-def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, eigensolves):
-    # The n = 64 pair of CI's thread-count step. eps0, where rho is 1 - O(1e-4), certifies
-    # only past k = 64: before that, P took 5 eigensolves and builds and R 1 of each.
+def ci_imaging_pair():
+    # The n = 64 pair of CI's thread-count step.
     rng = np.random.default_rng(64)
     w = kernel_denoiser(rng.uniform(0.0, 1.0, size=64), 0.5)
-    family = make_family(w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), 64)))
+    return w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), 64))
+
+
+@pytest.mark.parametrize("which, eigensolves", [("P", 4), ("R", 0)])
+def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, eigensolves):
+    # eps0, where rho is 1 - O(1e-4), certifies only past k = 64: before that, P took
+    # 5 eigensolves and builds and R 1 of each.
+    family = make_family(*ci_imaging_pair())
     budget_builders(monkeypatch, eigensolves)  # one build per eigensolved point
     report, calls, _ = recorded_threshold(monkeypatch, family, which, scan_max=3.0, grid_step=0.1875)
     assert report.classification == ("stable_then_unstable" if which == "P" else "stable_throughout_scan")
     assert len(calls) == eigensolves and all(math.isfinite(r) for _, r in calls)
+
+
+@pytest.mark.parametrize("case", ["b_not_exactly_symmetric", "eigh_fails"])
+def test_p_threshold_builds_only_the_points_it_eigensolves(monkeypatch, case):
+    # P is certified as W - t WB whatever B is, so the only P_stack builds are the 4 points
+    # that rho_on_grid eigensolves. When P went through B's eigenbasis, a B that is not exactly
+    # symmetric, or an eigh that fails, built each 8-point block for the certificate: 6 builds.
+    w, b = ci_imaging_pair()
+    if case == "b_not_exactly_symmetric":
+        b = b.copy()
+        b[0, 1] += 1e-3
+    family = make_family(w, b)
+    if case == "eigh_fails":
+
+        def eigh_fails(b):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
+    budget_builders(monkeypatch, 4)
+    report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0, grid_step=0.1875)
+    assert report.classification == "stable_then_unstable"
+    assert len(calls) == 4
 
 
 def same_spectrum_at(family, which, t):
@@ -605,16 +708,24 @@ def same_spectrum_at(family, which, t):
 
 
 def test_eigenbasis_operator_is_similar_and_guarded():
-    # Past each guard, and for a B that is not exactly symmetric, the matrix is M(t) as built.
+    # P is W - t WB for every B: symmetric, indefinite or not symmetric.
+    # For R, past each guard and for a B that is not exactly symmetric, the matrix is R(t) as built.
     w = validate_stochastic(W_BLUR)
     indefinite = make_family(w, np.diag([0.5, -0.25]))  # 1 + t lam_min >= 1/2 up to t = 2
-    for which, build in (("P", P_of), ("R", R_of)):
-        for t in (0.5, 1.9):
-            similar = same_spectrum_at(indefinite, which, t)
-            want = np.sort_complex(np.linalg.eigvals(build(indefinite, t)))
-            assert not np.array_equal(similar, build(indefinite, t))  # the eigenbasis form
-            assert np.allclose(np.sort_complex(np.linalg.eigvals(similar)), want, rtol=0, atol=1e-12)
-    assert not np.array_equal(same_spectrum_at(indefinite, "P", 2.1), P_of(indefinite, 2.1))  # P needs no solve
+    non_symmetric = make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]]))
+    for family in (blur_family(), indefinite, non_symmetric):
+        wb = family.W.matrix @ family.B
+        for t in (0.5, 1.9, 2.1, 17.9):
+            p = same_spectrum_at(family, "P", t)
+            assert np.array_equal(p, family.W.matrix - t * wb)  # one product, for any t
+            assert np.allclose(p, P_of(family, t), rtol=0, atol=1e-14)
+            want = np.sort_complex(np.linalg.eigvals(P_of(family, t)))
+            assert np.allclose(np.sort_complex(np.linalg.eigvals(p)), want, rtol=0, atol=1e-12)
+    for t in (0.5, 1.9):
+        similar = same_spectrum_at(indefinite, "R", t)
+        want = np.sort_complex(np.linalg.eigvals(R_of(indefinite, t)))
+        assert not np.array_equal(similar, R_of(indefinite, t))  # the eigenbasis form
+        assert np.allclose(np.sort_complex(np.linalg.eigvals(similar)), want, rtol=0, atol=1e-12)
     assert not np.array_equal(same_spectrum_at(indefinite, "R", 2.0), R_of(indefinite, 2.0))
     assert np.array_equal(same_spectrum_at(indefinite, "R", 2.1), R_of(indefinite, 2.1))
     wide_family = make_family(w, np.diag([1.0, 0.0]))
@@ -623,9 +734,7 @@ def test_eigenbasis_operator_is_similar_and_guarded():
     assert same_spectrum_at(wide_family, "R", 1e13) is None  # I + tB fails the pivot test: a singular shift, as for R_of
     with pytest.raises(SingularShiftError):
         R_of(wide_family, 1e13)
-    non_symmetric = make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]]))
-    for which, build in (("P", P_of), ("R", R_of)):
-        assert np.array_equal(same_spectrum_at(non_symmetric, which, 0.5), build(non_symmetric, 0.5))
+    assert np.array_equal(same_spectrum_at(non_symmetric, "R", 0.5), R_of(non_symmetric, 0.5))
 
 
 @pytest.mark.parametrize(
