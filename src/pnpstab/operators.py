@@ -168,6 +168,8 @@ def build_deblur(kernel, n: int) -> np.ndarray:
     kernel = np.asarray(kernel, dtype=float).ravel()
     if kernel.size == 0 or kernel.size > n:
         raise ValueError(f"kernel length must be in [1, {n}]")
+    if not np.isfinite(kernel).all():
+        raise ValueError("kernel has non-finite entries")
     if np.any(kernel < 0):
         raise ValueError("kernel must be nonnegative")
     total = kernel.sum()
@@ -205,8 +207,10 @@ def kernel_affinity(signal, bandwidth: float) -> np.ndarray:
     s = np.asarray(signal, dtype=float).ravel()
     if s.size < 2:
         raise ValueError("signal must have length >= 2")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not np.isfinite(s).all():
+        raise ValueError("signal has non-finite entries")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be finite and positive")
     d2 = (s[:, None] - s[None, :]) ** 2
     return np.exp(-d2 / (2.0 * bandwidth**2))
 
@@ -246,6 +250,9 @@ def alpha_beta_B(alpha: float, beta: float, n: int) -> np.ndarray:
     with Be != 0 (alpha >= 0 and alpha + n*beta > 0)."""
     if n < 1:
         raise ValueError("n must be positive")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if alpha + n * beta <= 0:

@@ -86,14 +86,22 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
 
     Stops when the relative successive difference falls below tol or at
     max_iter; non-convergence is reported via converged=False, never as an
-    error. Error norms are measured against the affine fixed point when
-    I - P(t) is invertible. A tol that is negative or not finite, or a
-    negative max_iter, raises ValueError.
+    error. A diverging run ends, unconverged, at the first iterate whose
+    step, norm, error or loss overflows; that iterate is not recorded.
+    Error norms are measured against the affine fixed point when
+    I - P(t) is invertible. A tol that is negative or not finite, a
+    negative max_iter, or an x0 that is not finite or not of length n
+    raises ValueError.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.size != problem.W.n:
+        raise ValueError(f"x0 has length {x.size} but W is {problem.W.n}x{problem.W.n}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 has non-finite entries")
     p, c = affine_map(problem)
     try:
         x_star = solve_linear(np.eye(problem.W.n) - p, c)
@@ -104,20 +112,25 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
         r = problem.A @ x - problem.b
         return 0.5 * float(r @ r)
 
-    x = np.asarray(x0, dtype=float).ravel()
     errors = [] if x_star is None else [float(np.linalg.norm(x - x_star))]
     losses = [loss(x)]
     converged = False
-    for _ in range(max_iter):
-        x_next = p @ x + c
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if x_star is not None:
-            errors.append(float(np.linalg.norm(x - x_star)))
-        losses.append(loss(x))
-        if step <= tol * (1.0 + float(np.linalg.norm(x))):
-            converged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends the run below
+        for _ in range(max_iter):
+            x_next = p @ x + c
+            step = float(np.linalg.norm(x_next - x))
+            size = float(np.linalg.norm(x_next))
+            error = 0.0 if x_star is None else float(np.linalg.norm(x_next - x_star))
+            lo = loss(x_next)
+            if not np.isfinite([step, size, error, lo]).all():
+                break
+            x = x_next
+            if x_star is not None:
+                errors.append(error)
+            losses.append(lo)
+            if step <= tol * (1.0 + size):
+                converged = True
+                break
     errors = np.asarray(errors)
     try:
         rate = empirical_rate_from_errors(errors)

@@ -9,6 +9,7 @@ produces a profile CSV, a JSON report, and a pass/fail verdict per check.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,79 +111,69 @@ class ReproReport:
         }
 
 
-def _value_check(name, computed_fn, expected, tolerance) -> CheckResult:
+def _check(name, compute, expected=True, tolerance=0.0) -> CheckResult:
+    """Pass when |compute() - expected| <= tolerance; a predicate passes only when True.
+    A failed computation fails this check alone, with the error as its computed value."""
     try:
-        computed = float(computed_fn())
+        computed = compute()
+        if isinstance(computed, np.generic):
+            computed = computed.item()
         passed = abs(computed - expected) <= tolerance
     except Exception as exc:  # a failed computation fails the check, not the report
         return CheckResult(name, expected, f"error: {exc}", tolerance, False)
     return CheckResult(name, expected, computed, tolerance, passed)
 
 
-def _bool_check(name, predicate_fn) -> CheckResult:
-    try:
-        computed = bool(predicate_fn())
-    except Exception as exc:
-        return CheckResult(name, True, f"error: {exc}", 0.0, False)
-    return CheckResult(name, True, computed, 0.0, computed)
-
-
-def _eig_check(name, matrix_fn, expected, tolerance=1e-12) -> CheckResult:
-    def err():
-        vals = np.sort_complex(eigenvalues(matrix_fn()))
-        want = np.sort_complex(np.asarray(expected, dtype=complex))
-        return float(np.max(np.abs(vals - want)))
-
-    try:
-        deviation = err()
-    except Exception as exc:
-        return CheckResult(name, list(map(str, expected)), f"error: {exc}", tolerance, False)
-    return CheckResult(name, 0.0, deviation, tolerance, deviation <= tolerance)
+def _eig_error(matrix, expected) -> float:
+    """Largest distance between the sorted eigenvalues of matrix and the sorted expected ones."""
+    want = np.sort_complex(np.asarray(expected, dtype=complex))
+    return np.max(np.abs(np.sort_complex(eigenvalues(matrix)) - want))
 
 
 def _checks_for(example: str, family: OperatorFamily) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+    """The checks of one example id; an id with no checks here raises ValueError."""
     if example == "remark_1_3_P":
-        for t in (0.1, 0.5, 1.0, 3.0):
-            checks.append(_eig_check(f"eig_P@t={t}", lambda t=t: P_of(family, t), [1.0 - t, -(1.0 + t)]))
-    elif example == "remark_1_3_R":
-        for t in (0.1, 0.5, 1.0, 3.0):
-            checks.append(_eig_check(f"eig_R@t={t}", lambda t=t: R_of(family, t), [-1.0, 1.0 / (t + 1.0)]))
-    elif example == "remark_1_6":
-        checks.append(_value_check("piTBe", lambda: -predicted_slope(family), float(Fraction(-1, 30)), 1e-12))
+        return [
+            _check(f"eig_P@t={t}", lambda t=t: _eig_error(P_of(family, t), [1.0 - t, -(1.0 + t)]), 0.0, 1e-12)
+            for t in (0.1, 0.5, 1.0, 3.0)
+        ]
+    if example == "remark_1_3_R":
+        return [
+            _check(f"eig_R@t={t}", lambda t=t: _eig_error(R_of(family, t), [-1.0, 1.0 / (t + 1.0)]), 0.0, 1e-12)
+            for t in (0.1, 0.5, 1.0, 3.0)
+        ]
+    if example == "remark_1_6":
         ts = 0.5 * np.arange(1, 51) / 51  # 50 points strictly inside (0, 0.5)
-        checks.append(_bool_check("rho_P>1_on_(0,0.5)", lambda: rho_on_grid(family, "P", ts).min() > 1.0))
-        checks.append(_bool_check("rho_R>1_on_(0,0.5)", lambda: rho_on_grid(family, "R", ts).min() > 1.0))
-    elif example == "remark_1_7":
-        checks.append(_value_check("rho_B", lambda: family.rho_B, 1.0, 1e-10))
-        checks.append(
-            _value_check(
-                "T_star_P",
-                lambda: stability_threshold(family, "P", scan_max=3.0).T_star,
-                2.0,
-                1e-3,
-            )
-        )
+        return [
+            _check("piTBe", lambda: -predicted_slope(family), float(Fraction(-1, 30)), 1e-12),
+            _check("rho_P>1_on_(0,0.5)", lambda: rho_on_grid(family, "P", ts).min() > 1.0),
+            _check("rho_R>1_on_(0,0.5)", lambda: rho_on_grid(family, "R", ts).min() > 1.0),
+        ]
+    if example == "remark_1_7":
         ts = 2.0 + np.arange(1, 26) / 25  # 25 points inside (2, 3]
-        checks.append(_bool_check("rho_R<1_on_(2,3]", lambda: rho_on_grid(family, "R", ts).max() < 1.0))
-    elif example == "example_1_13":
-        checks.append(_value_check("2/rho_B", lambda: 2.0 / family.rho_B, 3.9936, 1e-3))
-        checks.append(
-            _bool_check("Be_not_bounded_by_rho", lambda: not conjecture_hypotheses(family).be_bounded_by_rho)
-        )
-        be = family.B @ np.ones(family.n)
-        checks.append(_value_check("(Be)_2", lambda: be[1], 0.52, 1e-12))
-        checks.append(_bool_check("(Be)_2>rho_B", lambda: be[1] > family.rho_B))
+        return [
+            _check("rho_B", lambda: family.rho_B, 1.0, 1e-10),
+            _check("T_star_P", lambda: stability_threshold(family, "P", scan_max=3.0).T_star, 2.0, 1e-3),
+            _check("rho_R<1_on_(2,3]", lambda: rho_on_grid(family, "R", ts).max() < 1.0),
+        ]
+    if example == "example_1_13":
         ts = np.linspace(3.87, 3.99, 20)
-        checks.append(_bool_check("rho_P>1_on_[3.87,3.99]", lambda: rho_on_grid(family, "P", ts).min() > 1.0))
-    elif example in ("example_1_14_B1", "example_1_14_B2"):
-        expected_t = 4.777 if example.endswith("B1") else 11.904
-        expected_bound = float(Fraction(2, 3)) if example.endswith("B1") else 4.5308
-        rep = stability_threshold(family, "R", scan_max=20.0)
-        checks.append(_value_check("T_star_R", lambda: rep.T_star, expected_t, 1e-2))
-        checks.append(_value_check("2/rho_B", lambda: 2.0 / family.rho_B, expected_bound, 1e-3))
-        checks.append(_bool_check("T_star>2/rho_B", lambda: rep.T_star > 2.0 / family.rho_B))
-    return checks
+        return [
+            _check("2/rho_B", lambda: 2.0 / family.rho_B, 3.9936, 1e-3),
+            _check("Be_not_bounded_by_rho", lambda: not conjecture_hypotheses(family).be_bounded_by_rho),
+            _check("(Be)_2", lambda: family.B[1].sum(), 0.52, 1e-12),  # (Be)_2 is row 2's sum
+            _check("(Be)_2>rho_B", lambda: family.B[1].sum() > family.rho_B),
+            _check("rho_P>1_on_[3.87,3.99]", lambda: rho_on_grid(family, "P", ts).min() > 1.0),
+        ]
+    if example in ("example_1_14_B1", "example_1_14_B2"):
+        expected_t, expected_bound = (4.777, float(Fraction(2, 3))) if example.endswith("B1") else (11.904, 4.5308)
+        t_star = functools.cache(lambda: stability_threshold(family, "R", scan_max=20.0).T_star)
+        return [
+            _check("T_star_R", t_star, expected_t, 1e-2),
+            _check("2/rho_B", lambda: 2.0 / family.rho_B, expected_bound, 1e-3),
+            _check("T_star>2/rho_B", lambda: t_star() > 2.0 / family.rho_B),
+        ]
+    raise ValueError(f"example {example!r} has no checks")
 
 
 def repro(example: str, out_dir) -> ReproReport:
@@ -190,22 +181,13 @@ def repro(example: str, out_dir) -> ReproReport:
     family = example_family(example)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     csv_path = out / f"{example}_profile.csv"
+    report_path = out / f"{example}_report.json"
     t_min, t_max, steps = _EXAMPLES[example][1]
     profile_to_csv(profile(family, t_min, t_max, steps), csv_path)
-    artifacts.append(str(csv_path))
-    try:
-        checks = tuple(_checks_for(example, family))
-    except Exception as exc:
-        checks = (CheckResult("example_computation", "no error", f"error: {exc}", 0.0, False),)
-    report = ReproReport(
-        example=example,
-        checks=checks,
-        artifacts=tuple(artifacts) + (str(out / f"{example}_report.json"),),
-        overall_pass=all(c.passed for c in checks),
-    )
-    (out / f"{example}_report.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    checks = tuple(_checks_for(example, family))
+    report = ReproReport(example, checks, (str(csv_path), str(report_path)), all(c.passed for c in checks))
+    report_path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return report
 
 

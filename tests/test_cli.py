@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ def test_pnp_command_rejects_bad_stopping_rules(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["inpainting", "deblur", "superres"])
+def test_pnp_command_reports_a_diverging_run(tmp_path, capsys, kind):
+    # At t = 50 the iterate overflowed; the run printed converged=True and exited 0.
+    args = ["pnp", "--kind", kind, "--n", "12", "--t", "50", "--seed", "3", "--out", str(tmp_path / "trace.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert "converged=False" in out
+    assert err == ""
+
+
 def test_repro_single_example(tmp_path, capsys):
     code = main(["repro", "--example", "remark_1_6", "--out", str(tmp_path)])
     assert code == 0
@@ -231,7 +244,7 @@ def test_repro_all_examples_pass(tmp_path, capsys):
         ("stability_threshold", "remark_1_7", "T_star_P"),  # a value check
         ("rho_on_grid", "remark_1_6", "rho_P>1_on_(0,0.5)"),  # a bool check
         ("P_of", "remark_1_3_P", "eig_P@t=0.1"),  # an eigenvalue check
-        ("stability_threshold", "example_1_14_B1", "example_computation"),  # called outside a check
+        ("stability_threshold", "example_1_14_B1", "T_star>2/rho_B"),  # a check sharing a cached value
     ],
 )
 def test_repro_reports_a_failed_computation_as_a_failed_check(monkeypatch, tmp_path, capsys, name, example, check):
@@ -245,6 +258,30 @@ def test_repro_reports_a_failed_computation_as_a_failed_check(monkeypatch, tmp_p
     computed = {c["name"]: (c["computed"], c["pass"]) for c in report["checks"]}
     assert computed[check] == ("error: injected failure", False)
     assert not report["overall_pass"]
+    # Only the checks that use the failed computation fail: 2/rho_B still passes next to T_star_R.
+    assert all(result == ("error: injected failure", False) or result[1] for result in computed.values())
+
+
+def test_every_example_has_checks_and_an_unchecked_id_raises(monkeypatch, tmp_path):
+    for example in repro.EXAMPLE_IDS:
+        assert repro._checks_for(example, repro.example_family(example))
+    # An example without checks would pass vacuously, since all([]) is True.
+    monkeypatch.setitem(repro._EXAMPLES, "unchecked", repro._EXAMPLES["remark_1_6"])
+    with pytest.raises(ValueError, match="unchecked"):
+        repro.repro("unchecked", tmp_path)
+
+
+def test_repro_all_runs_each_threshold_once(monkeypatch, tmp_path):
+    calls = []
+    threshold = repro.stability_threshold
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return threshold(*args, **kwargs)
+
+    monkeypatch.setattr(repro, "stability_threshold", counted)
+    assert all(report.overall_pass for report in repro.repro_all(tmp_path))
+    assert calls == ["P", "R", "R"]  # remark_1_7, then one shared by the two checks of each example_1_14
 
 
 def test_repro_rejects_unknown_example(tmp_path):

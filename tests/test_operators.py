@@ -361,6 +361,27 @@ def test_alpha_beta_builder_rejects_nonpositive_be():
         alpha_beta_B(1.0, -0.5, 2)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: kernel_affinity([0.1, 0.5, 0.9], bandwidth=np.nan), "bandwidth"),
+        (lambda: kernel_affinity([0.1, np.nan, 0.9], bandwidth=0.5), "signal"),
+        (lambda: kernel_affinity([0.1, np.inf, 0.9], bandwidth=0.5), "signal"),
+        (lambda: build_deblur([0.5, np.nan], 4), "kernel"),
+        (lambda: build_deblur([0.5, np.inf], 4), "kernel"),
+        (lambda: alpha_beta_B(np.nan, 0.1, 3), "alpha"),
+        (lambda: alpha_beta_B(np.inf, 0.1, 3), "alpha"),
+        (lambda: alpha_beta_B(1.0, np.nan, 3), "beta"),
+        (lambda: alpha_beta_B(1.0, np.inf, 3), "beta"),
+    ],
+    ids=["bandwidth-nan", "signal-nan", "signal-inf", "kernel-nan", "kernel-inf", "alpha-nan", "alpha-inf", "beta-nan", "beta-inf"],
+)
+def test_builders_reject_non_finite_parameters(build, name):
+    # Each returned a matrix with NaN or inf entries.
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 def test_make_family_rejects_reducible_w():
     with pytest.raises(NotIrreducibleError):
         make_family(validate_stochastic(np.eye(2)), np.eye(2))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,25 @@ def test_run_rejects_bad_stopping_rules(kwargs):
     # A NaN tol never met its test: the run took every iteration and reported converged=False.
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         pgd_pnp_run(inpainting_problem(), x0=np.zeros(4), **kwargs)
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, 0]], ids=["nan", "inf", "short"])
+def test_run_rejects_a_bad_start(x0):
+    # A NaN start ran all 2000 iterations and returned NaN losses; a short one failed in numpy's broadcasting.
+    with pytest.raises(ValueError, match="x0"):
+        pgd_pnp_run(inpainting_problem(), x0=np.array(x0, dtype=float), max_iter=2000)
+
+
+def test_diverging_run_stops_unconverged_without_warnings():
+    # The iterate overflowed, the stop test read inf <= inf, and the run reported converged=True.
+    problem = inpainting_problem(t=50.0)
+    assert rho(affine_map(problem)[0]) > 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = pgd_pnp_run(problem, x0=np.zeros(4), max_iter=2000, tol=1e-10)
+    assert not trace.converged
+    assert trace.iterates_kept < 2000
+    assert np.isfinite(trace.error_norms).all() and np.isfinite(trace.loss_values).all()
 
 
 def test_zero_tol_and_zero_iterations_are_accepted():
