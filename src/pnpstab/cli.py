@@ -2,7 +2,8 @@
 
 Subcommands: profile, threshold, check, fuzz, pnp, repro. Exit code 0 on
 success / all checks passed, 1 when a check fails or a violation is
-found, 2 on usage or I/O errors.
+found, 2 on a usage, input or I/O error or a numerical failure, which
+prints one `pnpstab: ` line on stderr.
 """
 
 from __future__ import annotations
@@ -213,10 +214,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return _HANDLERS[args.command](args)
-    except OSError as exc:
-        print(f"pnpstab: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"pnpstab: {exc}", file=sys.stderr)
         return 2
 

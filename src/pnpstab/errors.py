@@ -1,34 +1,13 @@
-"""Exception types raised by the toolkit.
+"""The exception types that some caller tells apart, and the numerical failure.
 
-Validation failures derive from ValueError, numerical failures from
-ArithmeticError, so callers can catch broad categories or exact types.
+`operators.make_family` and `matrices._is_psd` catch NotSymmetricError,
+`pnp.pgd_pnp_run` catches InsufficientDataError and SingularMatrixError,
+and `perfbench/tracing.py` counts SingularShiftError by name.
+NoConvergenceError is a numerical failure: an eigensolver failed, or a
+left Perron vector was rejected. Every other invalid input raises a plain
+ValueError. The CLI prints a ValueError or ArithmeticError on one stderr
+line and exits 2.
 """
-
-
-class NotSquareError(ValueError):
-    """Matrix is not square where a square matrix is required."""
-
-
-class NegativeEntryError(ValueError):
-    """Entry below the admission tolerance for a nonnegative matrix."""
-
-    def __init__(self, i: int, j: int, value: float):
-        super().__init__(f"entry ({i}, {j}) = {value} is negative beyond tolerance")
-        self.index = (i, j)
-        self.value = value
-
-
-class RowSumViolationError(ValueError):
-    """Row sum deviates from 1 beyond the admission tolerance."""
-
-    def __init__(self, i: int, row_sum: float):
-        super().__init__(f"row {i} sums to {row_sum}, not 1 within tolerance")
-        self.row = i
-        self.row_sum = row_sum
-
-
-class NotIrreducibleError(ValueError):
-    """Stochastic matrix whose nonzero pattern is not strongly connected."""
 
 
 class NotSymmetricError(ValueError):
@@ -36,16 +15,14 @@ class NotSymmetricError(ValueError):
 
     def __init__(self, max_asymmetry: float):
         super().__init__(f"matrix asymmetry {max_asymmetry} exceeds tolerance")
-        self.max_asymmetry = max_asymmetry
+
+
+class InsufficientDataError(ValueError):
+    """Trace too short or too converged for rate estimation."""
 
 
 class NoConvergenceError(ArithmeticError):
-    """Iterative computation failed to reach the requested residual."""
-
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"no convergence after {iterations} iterations (residual {residual})")
-        self.iterations = iterations
-        self.residual = residual
+    """An eigensolver failed, or a computed left Perron vector was rejected."""
 
 
 class SingularMatrixError(ArithmeticError):
@@ -56,49 +33,8 @@ class SingularMatrixError(ArithmeticError):
         self.pivot_index = pivot_index
 
 
-class DimensionMismatchError(ValueError):
-    """Operands have incompatible dimensions."""
-
-
 class SingularShiftError(ArithmeticError):
     """I + tB is numerically singular at the requested t."""
 
     def __init__(self, t: float):
         super().__init__(f"I + tB is numerically singular at t = {t}")
-        self.t = t
-
-
-class AllZeroMaskError(ValueError):
-    """Inpainting mask with no observed pixels."""
-
-
-class ZeroKernelError(ValueError):
-    """Blur kernel with nonpositive total weight."""
-
-
-class EmptySelectionError(ValueError):
-    """Subsampling selector keeps no rows."""
-
-
-class DegenerateBandwidthError(ValueError):
-    """Kernel bandwidth so small that affinities underflow to zero."""
-
-
-class InvalidGridError(ValueError):
-    """Scan parameters violate 0 < eps0 < grid_step < scan_max."""
-
-
-class HypothesesUnmetError(ValueError):
-    """Family does not satisfy the hypotheses of the requested bound."""
-
-    def __init__(self, details: str):
-        super().__init__(details)
-        self.details = details
-
-
-class GenerationExhaustedError(RuntimeError):
-    """Rejection sampling hit its cap without producing an admissible instance."""
-
-
-class InsufficientDataError(ValueError):
-    """Trace too short or too converged for rate estimation."""

@@ -13,14 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    NegativeEntryError,
-    NoConvergenceError,
-    NotIrreducibleError,
-    NotSquareError,
-    NotSymmetricError,
-    RowSumViolationError,
-)
+from .errors import NoConvergenceError, NotSymmetricError
 
 __all__ = [
     "StochasticMatrix",
@@ -50,7 +43,7 @@ def as_matrix(entries) -> np.ndarray:
 def as_square_matrix(entries) -> np.ndarray:
     m = as_matrix(entries)
     if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -106,12 +99,12 @@ def validate_stochastic(entries, tol: float = 1e-10) -> StochasticMatrix:
     neg = np.argwhere(m < -tol)
     if neg.size:
         i, j = map(int, neg[0])
-        raise NegativeEntryError(i, j, float(m[i, j]))
+        raise ValueError(f"entry ({i}, {j}) = {float(m[i, j])} is negative beyond tolerance")
     sums = m.sum(axis=1)
     bad = np.argwhere(np.abs(sums - 1.0) > tol)
     if bad.size:
         i = int(bad[0][0])
-        raise RowSumViolationError(i, float(sums[i]))
+        raise ValueError(f"row {i} sums to {float(sums[i])}, not 1 within tolerance")
     np.clip(m, 0.0, None, out=m)
     m /= m.sum(axis=1, keepdims=True)
     m.setflags(write=False)
@@ -173,11 +166,12 @@ def left_perron_vector(w: StochasticMatrix) -> PerronData:
     by sum(pi) = 1, which is nonsingular whenever 1 is a simple eigenvalue
     (irreducible W; Stewart, Introduction to the Numerical Solution of
     Markov Chains, 1994). The result is accepted only if its residual is
-    at most 1e-13 and every entry is positive; otherwise NoConvergenceError.
+    at most 1e-13 and every entry is positive; otherwise NoConvergenceError
+    names both. A reducible W raises ValueError.
     """
     m = w.matrix
     if _irreducible_levels(m > 0.0) is None:
-        raise NotIrreducibleError("nonzero pattern is not strongly connected")
+        raise ValueError("nonzero pattern is not strongly connected")
     a = m.T - np.eye(w.n)
     a[-1, :] = 1.0
     rhs = np.zeros(w.n)
@@ -186,7 +180,7 @@ def left_perron_vector(w: StochasticMatrix) -> PerronData:
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ m - pi)))
     if not (residual <= 1e-13 and pi.min() > 0.0):  # also rejects a NaN pi
-        raise NoConvergenceError(0, residual)
+        raise NoConvergenceError(f"left Perron vector rejected: residual {residual}, smallest entry {float(pi.min())}")
     pi.setflags(write=False)
     return PerronData(pi=pi, residual=residual, iterations=0)
 

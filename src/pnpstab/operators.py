@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZeroMaskError,
-    DegenerateBandwidthError,
-    DimensionMismatchError,
-    EmptySelectionError,
-    NotSymmetricError,
-    SingularShiftError,
-    ZeroKernelError,
-)
+from .errors import NotSymmetricError, SingularShiftError
 from .matrices import (
     PerronData,
     StochasticMatrix,
@@ -99,7 +91,7 @@ def make_family(w: StochasticMatrix, b) -> OperatorFamily:
     """
     b = as_square_matrix(b)
     if b.shape[0] != w.n:
-        raise DimensionMismatchError(f"W is {w.n}x{w.n} but B is {b.shape[0]}x{b.shape[1]}")
+        raise ValueError(f"W is {w.n}x{w.n} but B is {b.shape[0]}x{b.shape[1]}")
     perron = left_perron_vector(w)
     try:
         rho_b = float(np.max(np.abs(symmetric_eigenvalues(b))))
@@ -154,7 +146,7 @@ def build_inpainting(mask) -> np.ndarray:
     if mask.size == 0 or not np.all(np.isin(mask, (0.0, 1.0))):
         raise ValueError("mask must be a nonempty 0/1 vector")
     if not mask.any():
-        raise AllZeroMaskError("mask keeps no pixels")
+        raise ValueError("mask keeps no pixels")
     return np.diag(mask)
 
 
@@ -174,7 +166,7 @@ def build_deblur(kernel, n: int) -> np.ndarray:
         raise ValueError("kernel must be nonnegative")
     total = kernel.sum()
     if total <= 0:
-        raise ZeroKernelError("kernel weight must be positive")
+        raise ValueError("kernel weight must be positive")
     first_row = np.zeros(n)
     first_row[: kernel.size] = kernel / total
     cols = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
@@ -185,10 +177,10 @@ def build_superres(h: np.ndarray, stride: int) -> np.ndarray:
     """A = S H, keeping every stride-th row of the blur starting at row 0."""
     n = h.shape[0]
     if stride < 1:
-        raise EmptySelectionError("stride must be at least 1")
+        raise ValueError("stride must be at least 1")
     keep = np.arange(0, n, stride)
     if keep.size == 0:
-        raise EmptySelectionError("selector keeps no rows")
+        raise ValueError("selector keeps no rows")
     return h[keep, :]
 
 
@@ -219,13 +211,13 @@ def kernel_denoiser(signal, bandwidth: float) -> StochasticMatrix:
     """Row-normalized Gaussian affinity denoiser W.
 
     Strict positivity of the affinities makes W stochastic and primitive.
-    Raises DegenerateBandwidthError when the bandwidth is so small that a
-    row's off-diagonal weights underflow to zero (W would collapse to I).
+    Raises ValueError when the bandwidth is so small that a row's
+    off-diagonal weights underflow to zero (W would collapse to I).
     """
     k = kernel_affinity(signal, bandwidth)
     off = k.sum(axis=1) - np.diag(k)
     if np.any(off < 1e-300):
-        raise DegenerateBandwidthError(f"bandwidth {bandwidth} underflows off-diagonal affinities")
+        raise ValueError(f"bandwidth {bandwidth} underflows off-diagonal affinities")
     w = k / k.sum(axis=1, keepdims=True)
     return validate_stochastic(w, tol=1e-12)
 

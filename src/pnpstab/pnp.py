@@ -90,8 +90,8 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
     step, norm, error or loss overflows; that iterate is not recorded.
     Error norms are measured against the affine fixed point when
     I - P(t) is invertible. A tol that is negative or not finite, a
-    negative max_iter, or an x0 that is not finite or not of length n
-    raises ValueError.
+    negative max_iter, or an x0 that is not of length n or whose entries,
+    norm or loss are not finite raises ValueError.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
@@ -112,8 +112,11 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
         r = problem.A @ x - problem.b
         return 0.5 * float(r @ r)
 
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge x0 overflows here; it is rejected, not warned about
+        size, losses = float(np.linalg.norm(x)), [loss(x)]
+    if not np.isfinite([size, losses[0]]).all():
+        raise ValueError(f"x0 has norm {size} and loss {losses[0]}; both must be finite")
     errors = [] if x_star is None else [float(np.linalg.norm(x - x_star))]
-    losses = [loss(x)]
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends the run below
         for _ in range(max_iter):

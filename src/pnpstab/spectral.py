@@ -32,7 +32,7 @@ def eigenvalues(m) -> np.ndarray:
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(iterations=-1, residual=float("nan")) from exc
+        raise NoConvergenceError("eigensolver failed") from exc
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vals.setflags(write=False)
@@ -43,7 +43,7 @@ def rho(m) -> float:
     """Spectral radius as a bare float: the one-matrix case of `rho_stack`."""
     radius = float(rho_stack(as_square_matrix(m)[None])[0])
     if np.isnan(radius):
-        raise NoConvergenceError(iterations=-1, residual=float("nan"))
+        raise NoConvergenceError("eigensolver failed")
     return radius
 
 

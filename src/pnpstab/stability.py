@@ -19,13 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    GenerationExhaustedError,
-    HypothesesUnmetError,
-    InvalidGridError,
-    NoConvergenceError,
-    SingularShiftError,
-)
+from .errors import NoConvergenceError, SingularShiftError
 from .generators import (
     random_alpha_beta,
     random_bipartite_stochastic,
@@ -184,9 +178,9 @@ def _first_unstable(family: OperatorFamily, ts: np.ndarray, limit: float, whiche
     if not bad.size:
         return None
     r = float(radii[bad[0]])
-    if math.isnan(r):
-        raise NoConvergenceError(iterations=-1, residual=float("nan"))
     k, j = divmod(int(bad[0]), len(whiches))
+    if math.isnan(r):
+        raise NoConvergenceError(f"eigensolver failed at t = {ts[k]}")
     return k, whiches[j], r
 
 
@@ -206,9 +200,9 @@ class StabilityProfile:
 def profile(family: OperatorFamily, t_min: float, t_max: float, steps: int) -> StabilityProfile:
     """Sample both spectral radii at `steps` uniform points of [t_min, t_max]."""
     if not (0.0 <= t_min < t_max):
-        raise InvalidGridError("need 0 <= t_min < t_max")
+        raise ValueError("need 0 <= t_min < t_max")
     if steps < 2:
-        raise InvalidGridError("need steps >= 2")
+        raise ValueError("need steps >= 2")
     grid = np.linspace(t_min, t_max, steps)
     rho_p = rho_on_grid(family, "P", grid)
     rho_r = rho_on_grid(family, "R", grid)
@@ -291,7 +285,7 @@ def stability_threshold(
     if grid_step is None:
         grid_step = scan_max / 2048.0
     if not (0.0 < eps0 < grid_step < scan_max < math.inf and 0.0 < bisect_tol < math.inf):
-        raise InvalidGridError(
+        raise ValueError(
             f"need 0 < eps0 ({eps0}) < grid_step ({grid_step}) < scan_max ({scan_max}) < inf, 0 < bisect_tol < inf"
         )
 
@@ -313,7 +307,7 @@ def stability_threshold(
         # rho - 1 as rho_on_grid gives it (inf at a singular shift).
         r = float(rho_on_grid(family, which, [t])[0])
         if math.isnan(r):
-            raise NoConvergenceError(iterations=-1, residual=float("nan"))
+            raise NoConvergenceError(f"eigensolver failed at t = {t}")
         return r - 1.0
 
     def scan():
@@ -370,7 +364,7 @@ def _open_grid(upper: float, points: int) -> np.ndarray:
 
 def _require(condition: bool, details: str) -> None:
     if not condition:
-        raise HypothesesUnmetError(details)
+        raise ValueError(details)
 
 
 def _check_hypotheses(family: OperatorFamily, theorem: str) -> None:
@@ -415,15 +409,15 @@ def check_theorem_bound(family: OperatorFamily, theorem: str, grid_steps: int = 
     """First (t, rho, which) with rho >= 1 - 1e-10 at interior points of
     (0, 2/rho(B)), or None when rho(P) and rho(R) stay below it.
 
-    Hypotheses of the named bound are verified first and raise
-    HypothesesUnmetError when violated. P is scanned over the whole grid
-    before R, so a failure of both is reported as P.
+    Hypotheses of the named bound are verified first and raise ValueError
+    when violated. P is scanned over the whole grid before R, so a failure
+    of both is reported as P.
     """
     if grid_steps < 1:
-        raise InvalidGridError("need grid_steps >= 1")
+        raise ValueError("need grid_steps >= 1")
     _check_hypotheses(family, theorem)
     if family.rho_B <= 0.0:
-        raise HypothesesUnmetError("rho(B) = 0; the interval (0, 2/rho(B)) is empty")
+        raise ValueError("rho(B) = 0; the interval (0, 2/rho(B)) is empty")
     ts = _open_grid(2.0 / family.rho_B, grid_steps)
     for which in ("P", "R"):
         crossing = _first_unstable(family, ts, 1.0 - _SUITE_SLACK, (which,))
@@ -448,7 +442,7 @@ def slope_check(family: OperatorFamily, which: str, h: float = 1e-5) -> SlopeChe
         raise ValueError("h must be positive")
     r = float(rho_on_grid(family, which, [h])[0])
     if math.isnan(r):
-        raise NoConvergenceError(iterations=-1, residual=float("nan"))
+        raise NoConvergenceError(f"eigensolver failed at t = {h}")
     if math.isinf(r):
         raise SingularShiftError(h)
     fd = (r - 1.0) / h
@@ -504,7 +498,7 @@ def _general_psd_instance(rng: np.random.Generator, n: int) -> OperatorFamily:
         family = make_family(random_positive_stochastic(rng, n), random_unit_psd(rng, n))
         if conjecture_hypotheses(family).all_met():
             return family
-    raise GenerationExhaustedError(f"no admissible (W, B) in {_REJECTION_ROUNDS} rejection rounds")
+    raise ValueError(f"no admissible (W, B) in {_REJECTION_ROUNDS} rejection rounds")
 
 
 def conjecture_trial(n: int, generator: str, seed: int) -> ConjectureTrialResult:

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from pnpstab import repro
+from pnpstab import repro, stability
 from pnpstab.cli import main
-from pnpstab.matrices import write_matrix
+from pnpstab.matrices import validate_stochastic, write_matrix
+from pnpstab.operators import make_family
 
 
 @pytest.fixture
@@ -116,6 +117,48 @@ def test_invalid_stochastic_file_exits_2(tmp_path):
          "--tmin", "0", "--tmax", "1", "--steps", "5", "--out", str(tmp_path / "out.csv")]
     )
     assert code == 2
+
+
+BLUR_W = "2 2\n0.3 0.7\n0.6 0.4\n"
+BLUR_B = "2 2\n0.841138 0.158862\n0.158862 0.841138\n"
+
+
+@pytest.mark.parametrize(
+    "w_text, b_text, flags, message",
+    [
+        ("2 3\n0.3 0.7 0\n0.6 0.4 0\n", BLUR_B, [], "expected a square matrix, got shape (2, 3)"),
+        ("2 2\n1.3 -0.3\n0.6 0.4\n", BLUR_B, [], "entry (0, 1) = -0.3 is negative beyond tolerance"),
+        ("2 2\n0.3 0.8\n0.6 0.4\n", BLUR_B, [], "row 0 sums to 1.1, not 1 within tolerance"),
+        ("2 2\n1 0\n0 1\n", BLUR_B, [], "nonzero pattern is not strongly connected"),
+        (BLUR_W, "3 3\n1 0 0\n0 1 0\n0 0 1\n", [], "W is 2x2 but B is 3x3"),
+        (
+            BLUR_W,
+            BLUR_B,
+            ["--eps0", "0.5"],
+            "need 0 < eps0 (0.5) < grid_step (0.00146484375) < scan_max (3.0) < inf, 0 < bisect_tol < inf",
+        ),
+        (None, None, [], "B = 0"),
+        ("2 2\n1 1e-20\n1 0\n", BLUR_B, [], "left Perron vector rejected: residual 1e-20, smallest entry 0.0"),
+    ],
+    ids=["non_square", "negative_entry", "row_sum", "reducible", "size_mismatch", "bad_grid", "hypotheses", "perron"],
+)
+def test_a_failure_exits_2_with_one_stderr_line(monkeypatch, tmp_path, capsys, w_text, b_text, flags, message):
+    # A numerical failure (the Perron rejection) used to end in a traceback and exit 1, the violation code.
+    out = tmp_path / "out"
+    if w_text is None:
+        # No suite draws an instance that fails its hypotheses; B = 0 fails the inpainting suite's.
+        def zero_b(suite, seed, n):
+            return make_family(validate_stochastic(np.full((n, n), 1.0 / n)), np.zeros((n, n)))
+
+        monkeypatch.setattr(stability, "suite_family", zero_b)
+        argv = ["check", "--suite", "inpainting", "--trials", "1"]
+    else:
+        (tmp_path / "w.txt").write_text(w_text)
+        (tmp_path / "b.txt").write_text(b_text)
+        argv = ["threshold", "--w", str(tmp_path / "w.txt"), "--b", str(tmp_path / "b.txt"), "--which", "P", "--scan-max", "3"]
+    assert main([*argv, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"pnpstab: {message}\n"
+    assert not out.exists()
 
 
 def test_check_command_writes_jsonl(tmp_path):

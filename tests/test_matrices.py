@@ -5,13 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pnpstab.errors import (
-    NegativeEntryError,
-    NotIrreducibleError,
-    NotSquareError,
-    NotSymmetricError,
-    RowSumViolationError,
-)
+from pnpstab.errors import NotSymmetricError
 from pnpstab.matrices import (
     is_positive_semidefinite,
     left_perron_vector,
@@ -34,16 +28,13 @@ def test_accepts_identity_with_zero_tolerance():
 
 
 def test_rejects_bad_row_sum():
-    with pytest.raises(RowSumViolationError) as exc:
+    with pytest.raises(ValueError, match=re.escape("row 0 sums to 1.1, not 1 within tolerance")):
         validate_stochastic([[0.5, 0.6], [0.5, 0.4]], tol=1e-12)
-    assert exc.value.row == 0
-    assert exc.value.row_sum == pytest.approx(1.1)
 
 
 def test_rejects_negative_entry():
-    with pytest.raises(NegativeEntryError) as exc:
+    with pytest.raises(ValueError, match=re.escape("entry (0, 1) = -0.1 is negative beyond tolerance")):
         validate_stochastic([[1.1, -0.1], [0.5, 0.5]], tol=1e-12)
-    assert exc.value.index == (0, 1)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -60,7 +51,7 @@ def test_rejects_non_finite_tolerance(entries, tol):
 
 
 def test_rejects_non_square():
-    with pytest.raises(NotSquareError):
+    with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (2, 3)")):
         validate_stochastic(np.ones((2, 3)) / 3)
 
 
@@ -258,7 +249,7 @@ def test_perron_vector_of_kernel_denoiser_matches_degree_closed_form(n, seed):
 
 def test_perron_vector_rejects_reducible():
     w = validate_stochastic(np.eye(3))
-    with pytest.raises(NotIrreducibleError):
+    with pytest.raises(ValueError, match="nonzero pattern is not strongly connected"):
         left_perron_vector(w)
 
 

@@ -6,15 +6,7 @@ import scipy.linalg
 
 from pnpstab import stability
 
-from pnpstab.errors import (
-    AllZeroMaskError,
-    DegenerateBandwidthError,
-    DimensionMismatchError,
-    EmptySelectionError,
-    NotIrreducibleError,
-    SingularShiftError,
-    ZeroKernelError,
-)
+from pnpstab.errors import SingularShiftError
 from pnpstab.matrices import is_positive_semidefinite, structure, validate_stochastic
 from pnpstab.operators import (
     P_of,
@@ -77,7 +69,7 @@ def test_make_family_caches_rho_b():
 
 
 def test_make_family_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="W is 2x2 but B is 3x3"):
         make_family(validate_stochastic(SWAP), np.eye(3))
 
 
@@ -202,7 +194,7 @@ def test_inpainting_gram_is_idempotent():
 
 
 def test_inpainting_rejects_empty_mask():
-    with pytest.raises(AllZeroMaskError):
+    with pytest.raises(ValueError, match="mask keeps no pixels"):
         build_inpainting([0, 0, 0])
 
 
@@ -233,7 +225,7 @@ def test_deblur_is_doubly_stochastic():
 
 
 def test_deblur_rejects_zero_kernel():
-    with pytest.raises(ZeroKernelError):
+    with pytest.raises(ValueError, match="kernel weight must be positive"):
         build_deblur([0.0, 0.0], n=3)
 
 
@@ -256,7 +248,7 @@ def test_superres_gram_reference_values():
 
 def test_superres_rejects_bad_stride():
     h = build_deblur([1.0], n=3)
-    with pytest.raises(EmptySelectionError):
+    with pytest.raises(ValueError, match="stride must be at least 1"):
         build_superres(h, stride=0)
 
 
@@ -298,7 +290,7 @@ def test_kernel_denoiser_is_stochastic_and_primitive():
 
 
 def test_kernel_denoiser_rejects_degenerate_bandwidth():
-    with pytest.raises(DegenerateBandwidthError):
+    with pytest.raises(ValueError, match="bandwidth 1.0 underflows off-diagonal affinities"):
         kernel_denoiser([0.0, 1e6], bandwidth=1.0)
 
 
@@ -383,7 +375,7 @@ def test_builders_reject_non_finite_parameters(build, name):
 
 
 def test_make_family_rejects_reducible_w():
-    with pytest.raises(NotIrreducibleError):
+    with pytest.raises(ValueError, match="nonzero pattern is not strongly connected"):
         make_family(validate_stochastic(np.eye(2)), np.eye(2))
 
 

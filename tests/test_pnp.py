@@ -55,11 +55,16 @@ def test_run_rejects_bad_stopping_rules(kwargs):
         pgd_pnp_run(inpainting_problem(), x0=np.zeros(4), **kwargs)
 
 
-@pytest.mark.parametrize("x0", [[np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, 0]], ids=["nan", "inf", "short"])
+@pytest.mark.parametrize(
+    "x0", [[np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, 0], [1e200] * 4], ids=["nan", "inf", "short", "huge"]
+)
 def test_run_rejects_a_bad_start(x0):
     # A NaN start ran all 2000 iterations and returned NaN losses; a short one failed in numpy's broadcasting.
-    with pytest.raises(ValueError, match="x0"):
-        pgd_pnp_run(inpainting_problem(), x0=np.array(x0, dtype=float), max_iter=2000)
+    # A huge finite one overflowed in its first norm and loss, outside the loop's errstate, with a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x0"):
+            pgd_pnp_run(inpainting_problem(), x0=np.array(x0, dtype=float), max_iter=2000)
 
 
 def test_diverging_run_stops_unconverged_without_warnings():
