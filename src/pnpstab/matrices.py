@@ -91,10 +91,11 @@ def validate_stochastic(entries, tol: float = 1e-10) -> StochasticMatrix:
     Entries in [-tol, 0) are clamped to 0 and each row is renormalized to
     sum to 1, so identities like We = e hold to machine precision
     downstream. Entries below -tol or row sums off by more than tol are
-    rejected.
+    rejected. tol must lie in [0, 1): an admitted row then sums to at least
+    1 - tol > 0, and clamping only raises that sum, so no row is divided by 0.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if not (0 <= tol < 1):
+        raise ValueError(f"tol must be finite and in [0, 1), got {tol}")
     m = as_square_matrix(entries).copy()
     neg = np.argwhere(m < -tol)
     if neg.size:
@@ -190,7 +191,7 @@ def _symmetric_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
     max |M - M^T| exceeds tol."""
     asym = float(np.max(np.abs(m - m.T)))
     if asym > tol:
-        raise NotSymmetricError(asym)
+        raise NotSymmetricError(f"matrix asymmetry {asym} exceeds tolerance")
     return np.linalg.eigvalsh((m + m.T) / 2.0)
 
 

@@ -131,7 +131,7 @@ def R_of(family: OperatorFamily, t: float) -> np.ndarray:
         raise ValueError("t must be finite and nonnegative")
     r, ok = R_stack(family.W.matrix, family.B, np.array([t], dtype=float))
     if not ok[0]:
-        raise SingularShiftError(t)
+        raise SingularShiftError(f"I + tB is numerically singular at t = {t}")
     return r[0]
 
 

@@ -144,7 +144,7 @@ def solve_linear(a, b) -> np.ndarray:
     x, small = _lu_solve_each(a[None], rhs)
     bad = np.flatnonzero(small[0])
     if bad.size:
-        raise SingularMatrixError(int(bad[0]))
+        raise SingularMatrixError(f"matrix numerically singular at pivot {int(bad[0])}")
     return x[0]
 
 
@@ -171,5 +171,5 @@ def shifted_inverse_norm(b, t: float, lam: complex) -> float:
     c = lam * np.eye(n, dtype=complex) + (t * (lam - 1.0)) * a.astype(complex)
     smin = float(np.linalg.svd(c, compute_uv=False)[-1])
     if smin == 0.0:
-        raise SingularMatrixError(0)
+        raise SingularMatrixError("matrix numerically singular at pivot 0")
     return 1.0 / smin

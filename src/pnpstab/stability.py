@@ -252,6 +252,15 @@ class ThresholdReport:
         return asdict(self)
 
 
+def _rho_at(family: OperatorFamily, which: str, t: float) -> float:
+    """rho(P(t)) or rho(R(t)) as a one-point `rho_on_grid` value (inf at a singular
+    shift); an eigensolver failure raises NoConvergenceError."""
+    r = float(rho_on_grid(family, which, [t])[0])
+    if math.isnan(r):
+        raise NoConvergenceError(f"eigensolver failed at t = {t}")
+    return r
+
+
 def stability_threshold(
     family: OperatorFamily,
     which: str,
@@ -266,17 +275,18 @@ def stability_threshold(
     refined by Illinois regula falsi on rho - 1 until the bracket is no
     wider than bisect_tol, or until its ends are adjacent floats when
     bisect_tol is finer than the float spacing at the crossing. Every rho is
-    a one-point `rho_on_grid` value. The scan points are certified first, a
-    block of `rho_on_grid`'s block size at a time, by one stacked squaring
-    (`spectral._certified_powers`): some ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16;
-    past 64 only while the powers decay) of a matrix M with the spectrum of
-    P(t) or R(t) (`_same_spectrum`) proves rho <= 2^(-1/k) < 1 - 1.06e-5
-    without an eigensolve, which spares the point eps0, where rho is near
-    1 - eps0 pi^T B e. The block is then walked in order: a certified point
-    costs nothing, any other point is eigensolved, and nothing past the
-    first crossing is eigensolved. M = W - t WB is P(t) up to the rounding
-    of one product and R in B's eigenbasis is within O(n eps ||W||) of a
-    matrix exactly similar, as a built M is within the rounding of its
+    a one-point `rho_on_grid` value. The scan certifies a block of
+    `rho_on_grid`'s block size at a time, then walks its unproved points.
+    One stacked squaring (`spectral._certified_powers`) per block finds some
+    ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16; past 64 only while the powers
+    decay) of a matrix M with the spectrum of P(t) or R(t) (`_same_spectrum`);
+    that proves rho <= 2^(-1/k) < 1 - 1.06e-5 without an eigensolve, and
+    spares the point eps0, where rho is near 1 - eps0 pi^T B e. The points
+    it leaves are eigensolved in order, and nothing past the first crossing
+    is eigensolved; the grid point before the crossing is eigensolved for
+    the secant if the walk has not done so. M = W - t WB is P(t) up to the
+    rounding of one product and R in B's eigenbasis is within O(n eps ||W||)
+    of a matrix exactly similar, as a built M is within the rounding of its
     build, so an eigenvalue moves by about kappa(lambda) n eps.
     The certified bound sits 1.06e-5 below 1, so every report is the one an
     eigensolve at every scan point gives while kappa(lambda) n eps << 1e-5.
@@ -301,38 +311,31 @@ def stability_threshold(
             eps0=eps0,
         )
 
-    same_spectrum = _same_spectrum(family, which)
-
     def f(t: float) -> float:
-        # rho - 1 as rho_on_grid gives it (inf at a singular shift).
-        r = float(rho_on_grid(family, which, [t])[0])
-        if math.isnan(r):
-            raise NoConvergenceError(f"eigensolver failed at t = {t}")
-        return r - 1.0
+        return _rho_at(family, which, t) - 1.0
 
-    def scan():
-        # (t, f(t)) in scan order, with f(t) None where the block's certificate proves rho < 1.
-        # Points past a crossing are squared with their block but never eigensolved.
-        t = eps0
-        edge = scan_max * (1.0 + 1e-12)
-        while t <= edge:
-            block = []
-            while t <= edge and len(block) < _block_points(family.n):
-                block.append(t)
-                t += grid_step
-            m, ok = same_spectrum(np.array(block))
-            certified = np.zeros(len(block), dtype=bool)
-            certified[ok] = _certified_powers(m) > 0
-            for t_k, proved in zip(block, certified):
-                yield t_k, None if proved else f(t_k)
-
-    prev = f_prev = None
-    for t, f_t in scan():
-        if f_t is not None and f_t >= 0.0:
-            if prev is None:
+    same_spectrum = _same_spectrum(family, which)
+    size = _block_points(family.n)
+    edge = scan_max * (1.0 + 1e-12)
+    # The next scan point, the last point of the blocks walked, and the last (t, f(t)) eigensolved.
+    t, before, solved = eps0, None, (None, None)
+    while t <= edge:
+        points = np.cumsum(np.append(t, np.full(size, grid_step)))  # bitwise the running sum t += grid_step
+        block, t = points[:-1][points[:-1] <= edge], float(points[-1])
+        m, ok = same_spectrum(block)
+        proved = np.zeros(block.size, dtype=bool)
+        proved[ok] = _certified_powers(m) > 0
+        ts = block.tolist()
+        for k in np.flatnonzero(~proved):
+            hi, f_hi = ts[k], f(ts[k])
+            if f_hi < 0.0:
+                solved = hi, f_hi
+                continue
+            lo = ts[k - 1] if k else before
+            if lo is None:
                 return report("unstable_from_start")
-            f_prev = f(prev) if f_prev is None else f_prev  # the secant needs rho where the scan certified
-            lo, hi, f_lo, f_hi, kept = prev, t, f_prev, f_t, None  # Illinois: f of an end kept twice halves
+            f_lo = solved[1] if solved[0] == lo else f(lo)  # the secant needs rho where the scan certified
+            kept = None  # Illinois: f of an end kept twice halves
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
@@ -353,7 +356,7 @@ def stability_threshold(
                     lo, f_lo, f_hi = x, f_x, f_hi * (0.5 if kept == "hi" else 1.0)
                     kept = "hi"
             return report("stable_then_unstable", t_star=0.5 * (lo + hi), bracket=(lo, hi))
-        prev, f_prev = t, f_t
+        before = ts[-1]
     return report("stable_throughout_scan")
 
 
@@ -440,11 +443,9 @@ def slope_check(family: OperatorFamily, which: str, h: float = 1e-5) -> SlopeChe
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    r = float(rho_on_grid(family, which, [h])[0])
-    if math.isnan(r):
-        raise NoConvergenceError(f"eigensolver failed at t = {h}")
+    r = _rho_at(family, which, h)
     if math.isinf(r):
-        raise SingularShiftError(h)
+        raise SingularShiftError(f"I + tB is numerically singular at t = {h}")
     fd = (r - 1.0) / h
     predicted = predicted_slope(family)
     return SlopeCheck(fd_slope=fd, predicted=predicted, abs_error=abs(fd - predicted))

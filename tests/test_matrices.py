@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ def test_rejects_non_finite_tolerance(entries, tol):
     # negative row came back as NaN.
     with pytest.raises(ValueError, match="tol"):
         validate_stochastic(entries, tol=tol)
+
+
+def test_rejects_a_tolerance_that_admits_an_empty_row():
+    # With tol >= 1 an all-zero row passed the row-sum test, and renormalizing it gave NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape("tol must be finite and in [0, 1), got 1.0")):
+            validate_stochastic([[0.0, 0.0], [0.5, 0.5]], tol=1.0)
+        w = validate_stochastic([[1e-3, 0.0], [0.5, 0.5]], tol=0.999)
+    np.testing.assert_array_equal(w.matrix, [[1.0, 0.0], [0.5, 0.5]])
 
 
 def test_rejects_non_square():

@@ -1,12 +1,20 @@
+import pickle
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from pnpstab.errors import NoConvergenceError, NotSymmetricError, SingularMatrixError, SingularShiftError
-from pnpstab.matrices import validate_stochastic
+from pnpstab.errors import (
+    InsufficientDataError,
+    NoConvergenceError,
+    NotSymmetricError,
+    SingularMatrixError,
+    SingularShiftError,
+)
+from pnpstab.matrices import left_perron_vector, validate_stochastic
 from pnpstab.operators import P_of, R_of, make_family
+from pnpstab.pnp import empirical_rate_from_errors
 from pnpstab.repro import example_family
 from pnpstab.spectral import (
     _certified_powers,
@@ -176,9 +184,36 @@ def test_solve_detects_singular():
 
 
 def test_solve_reports_the_first_small_pivot():
-    with pytest.raises(SingularMatrixError) as info:
+    with pytest.raises(SingularMatrixError, match="at pivot 1$"):
         solve_linear(np.diag([1.0, 0.0, 1.0]), np.ones(3))
-    assert info.value.pivot_index == 1
+
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return exc
+    raise AssertionError(f"{call.__name__} raised nothing")
+
+
+@pytest.mark.parametrize(
+    "error, call, args",
+    [
+        (NotSymmetricError, symmetric_eigenvalues, (np.array([[0.0, 1.0], [0.0, 0.0]]),)),
+        (InsufficientDataError, empirical_rate_from_errors, (np.ones(3),)),
+        (NoConvergenceError, left_perron_vector, (validate_stochastic([[1.0, 1e-20], [1.0, 0.0]]),)),
+        (SingularMatrixError, solve_linear, (np.diag([1.0, 0.0, 1.0]), np.ones(3))),
+        (SingularShiftError, lambda: R_of(make_family(validate_stochastic([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2)), 1.0), ()),
+    ],
+    ids=["NotSymmetricError", "InsufficientDataError", "NoConvergenceError", "SingularMatrixError", "SingularShiftError"],
+)
+def test_errors_survive_a_pickle_round_trip(error, call, args):
+    # A run_campaign worker returns its exceptions through pickle. The classes that formatted
+    # their message from one argument got the formatted message back as that argument.
+    exc = raised(call, *args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(exc) is type(back) is error
+    assert str(back) == str(exc)
 
 
 def test_singular_shift_raises_without_a_warning():

@@ -624,6 +624,42 @@ def test_threshold_crossing_at_the_first_point_of_a_block(monkeypatch):
     assert_certificate_changes_no_report(monkeypatch, family, 3.0, grid_steps=(grid_step,))
 
 
+@pytest.mark.parametrize("proved_slice, before_crossing", [(1, "eigensolved"), (2, "proved")])
+def test_threshold_walk_eigensolves_only_the_unproved_points_up_to_the_crossing(monkeypatch, proved_slice, before_crossing):
+    # n = 24 puts 56 points in a block, so the 257-point scan is five blocks. A stand-in
+    # certificate proves every third slice of each block, starting at `proved_slice`.
+    # P crosses at scan point 171, the fourth point of the fourth block.
+    n = 24
+    rng = np.random.default_rng([801, n])
+    w = kernel_denoiser(rng.uniform(0.0, 1.0, size=n), bandwidth=0.5)
+    family = make_family(w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), n)))
+    block = stability._block_points(n)
+    eps0, grid_step = 1e-4, 0.0117
+    scan, t = [], eps0
+    while t <= 3.0:
+        scan.append(t)
+        t += grid_step
+    assert block == 56 and len(scan) > 3 * block
+    radii = rho_on_grid(family, "P", scan)
+    proved = np.arange(len(scan)) % block % 3 == proved_slice
+    crossing = next(k for k in range(len(scan)) if not proved[k] and radii[k] >= 1.0)
+    assert crossing == 3 * block + 3 and proved[crossing - 1] == (before_crossing == "proved")
+
+    def certify_every_third(stack):
+        return np.where(np.arange(len(stack)) % 3 == proved_slice, 2, 0)
+
+    monkeypatch.setattr(stability, "_certified_powers", certify_every_third)
+    report, calls, scan_points = recorded_threshold(monkeypatch, family, "P", scan_max=3.0, grid_step=grid_step, eps0=eps0)
+    walked = [t for k, t in enumerate(scan[: crossing + 1]) if not proved[k]]
+    assert [t for t, _ in calls[:scan_points]] == walked  # bitwise the running sum, in grid order
+    refined = [t for t, _ in calls[scan_points:]]
+    assert all(scan[crossing - 1] <= t < scan[crossing] for t in refined)  # nothing past the crossing
+    assert [t for t, _ in calls].count(scan[crossing - 1]) <= 1
+    assert (refined[:1] == [scan[crossing - 1]]) == (before_crossing == "proved")  # a proved point is solved for the secant
+    assert report.classification == "stable_then_unstable"
+    assert scan[crossing - 1] <= report.bracket[0] < report.bracket[1] <= scan[crossing]
+
+
 def imaging_family_64():
     # A kernel denoiser with a 3-tap circular blur, as the imaging-large benchmark
     # builds at n = 256 and 400.
