@@ -252,7 +252,5 @@ def write_matrix(path, m) -> None:
     """
     m = as_matrix(m)
     rows, cols = m.shape
-    out = [f"{rows} {cols}"]
-    for row in m:
-        out.append(" ".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(out) + "\n")
+    with open(path, "w") as fh:  # a file object, so a `.gz` name is not compressed
+        np.savetxt(fh, m, fmt="%.17g", header=f"{rows} {cols}", comments="")

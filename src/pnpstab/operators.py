@@ -110,12 +110,13 @@ def P_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
 def R_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R(t) = I - W + (I + t B)^{-1} (2 W - I) for every t of a 1-D array.
 
-    Returns `(r, ok)` as `spectral.solve_stack` does: `ok` masks the t where
-    I + t B passes the pivot test, and `r` stacks R(t) at those t in order.
+    Returns `(r, ok)`, one slice per t: `ok` masks the t where I + t B passes
+    the pivot test of `spectral.solve_stack`. `r[k]` is R(t) where `ok[k]`, and
+    the finite placeholder I - W at a singular shift.
     """
     eye = np.eye(len(w))
-    x, ok = solve_stack(eye + ts[:, None, None] * b, 2.0 * w - eye)
-    return eye - w + x, ok
+    x, small = solve_stack(eye + ts[:, None, None] * b, 2.0 * w - eye)
+    return eye - w + x, ~small.any(axis=-1)
 
 
 def P_of(family: OperatorFamily, t: float) -> np.ndarray:

@@ -21,7 +21,6 @@ __all__ = [
     "symmetric_eigenvalues",
     "solve_linear",
     "solve_stack",
-    "shifted_inverse_norm",
 ]
 
 
@@ -117,31 +116,18 @@ def symmetric_eigenvalues(s) -> np.ndarray:
     return _symmetric_eigvals(as_square_matrix(s), 1e-9)
 
 
-def _lu_solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # One LAPACK gesv call per slice of an (m, n, n) stack. Returns the
-    # solutions and the (m, n) mask of U pivots at or below _PIVOT_RTOL * ||A_k||_inf.
-    # A zero pivot (gesv info > 0) is in that mask; gesv then skips the solve,
-    # and the slice is masked either way.
-    scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
-    (gesv,) = scipy.linalg.get_lapack_funcs(("gesv",), (a,))
-    lu = np.empty_like(a)
-    x = np.empty(a.shape[:1] + np.shape(b))
-    for k in range(len(a)):
-        lu[k], _, x[k], _ = gesv(a[k], b)
-    return x, np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= _PIVOT_RTOL * scale[:, None]
-
-
 def solve_linear(a, b) -> np.ndarray:
     """Solve Ax = b (vector or matrix right-hand side) by pivoted LU: the
     one-matrix case of `solve_stack`.
 
-    Raises SingularMatrixError at the first pivot at or below 1e-13 * ||A||.
+    Raises SingularMatrixError naming the first pivot that `solve_stack`
+    masks as small: at or below 1e-13 * ||A||_inf.
     """
     a = as_square_matrix(a)
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {a.shape[0]}")
-    x, small = _lu_solve_each(a[None], rhs)
+    x, small = solve_stack(a[None], rhs)
     bad = np.flatnonzero(small[0])
     if bad.size:
         raise SingularMatrixError(f"matrix numerically singular at pivot {int(bad[0])}")
@@ -149,27 +135,20 @@ def solve_linear(a, b) -> np.ndarray:
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A_k X = b for every matrix A_k of an (m, n, n) stack.
+    """Solve A_k X = b for every matrix A_k of an (m, n, n) stack, one LAPACK
+    gesv call per slice.
 
-    Returns `(x, ok)`: `ok` masks the slices that pass the pivot test of
-    `solve_linear`, and `x` stacks their solutions in order. Each slice is
-    bitwise the solution `solve_linear(a[k], b)` returns.
+    Returns `(x, small)`, one slice per A_k. `small` is the (m, n) mask of the
+    U pivots at or below 1e-13 * ||A_k||_inf; a zero pivot, where gesv skips
+    the solve, is in it. `x[k]` is bitwise `solve_linear(a[k], b)` where
+    `small[k]` has no True, and 0 elsewhere.
     """
-    x, small = _lu_solve_each(a, b)
-    ok = ~small.any(axis=-1)
-    return x[ok], ok
-
-
-def shifted_inverse_norm(b, t: float, lam: complex) -> float:
-    """Spectral norm of (lam*I + t*(lam-1)*B)^{-1}.
-
-    For positive semidefinite B, t > 0, and |lam| >= 1 this is at most 1;
-    the complex shift is handled here so callers stay real-valued.
-    """
-    a = as_square_matrix(b)
-    n = a.shape[0]
-    c = lam * np.eye(n, dtype=complex) + (t * (lam - 1.0)) * a.astype(complex)
-    smin = float(np.linalg.svd(c, compute_uv=False)[-1])
-    if smin == 0.0:
-        raise SingularMatrixError("matrix numerically singular at pivot 0")
-    return 1.0 / smin
+    scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
+    (gesv,) = scipy.linalg.get_lapack_funcs(("gesv",), (a,))
+    lu = np.empty_like(a)
+    x = np.empty(a.shape[:1] + np.shape(b))
+    for k in range(len(a)):
+        lu[k], _, x[k], _ = gesv(a[k], b)
+    small = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= _PIVOT_RTOL * scale[:, None]
+    x[small.any(axis=-1)] = 0.0
+    return x, small

@@ -90,8 +90,8 @@ def _check_which(which: str) -> None:
 
 
 def _same_spectrum(family: OperatorFamily, which: str):
-    """ts -> (m, ok): m stacks a matrix with the spectrum of P(t) or R(t) at the t that ok
-    masks (for R, ok is False at a singular shift, as in `operators.R_stack`).
+    """ts -> (m, ok), one slice per t: m[k] has the spectrum of P(t) or R(t) where ok[k]. For R,
+    ok is False at a singular shift, and m holds `operators.R_stack`'s placeholder there.
 
     P(t) = W (I - tB) = W - t WB is affine in t, so for P it is W - t WB, with WB formed once,
     for any B. For R with B = Q diag(lam) Q^T exactly symmetric and W~ = Q^T W Q, it is
@@ -121,15 +121,12 @@ def _same_spectrum(family: OperatorFamily, which: str):
         # U^-1 = A^-1 P^T L and |L_ij| <= 1 give |U pivots| >= shift[0] / n, and
         # ||A||_inf <= n^0.5 shift[-1], so the guard keeps a factor 1e3 between every
         # pivot and the _PIVOT_RTOL ||A||_inf pivot test.
+        # The unguarded slices divide by 1, so a zero shift raises no warning, and are then built.
         shift = 1.0 + ts[:, None] * lam
-        guarded = (shift[:, 0] >= 0.5) & (shift[:, -1] * size_factor <= 1e-3 / _PIVOT_RTOL * shift[:, 0])
-        if guarded.all():
-            return i_minus_w + two_w_minus_i / shift[:, :, None], guarded
-        ok = guarded.copy()
-        rest, ok[~guarded] = built(ts[~guarded])
-        m = np.empty((int(ok.sum()), family.n, family.n))
-        m[guarded[ok]] = i_minus_w + two_w_minus_i / shift[guarded][:, :, None]
-        m[~guarded[ok]] = rest
+        ok = (shift[:, 0] >= 0.5) & (shift[:, -1] * size_factor <= 1e-3 / _PIVOT_RTOL * shift[:, 0])
+        m = i_minus_w + two_w_minus_i / np.where(ok[:, None], shift, 1.0)[:, :, None]
+        if not ok.all():
+            m[~ok], ok[~ok] = built(ts[~ok])
         return m, ok
 
     return r_similar
@@ -143,7 +140,8 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     `operators.P_stack`/`R_stack` and `spectral.rho_stack`. inf marks a
     singular shift I + tB (R only) and NaN an eigensolver failure. The grid
     is evaluated in blocks of at most `_BLOCK_ENTRIES` stacked entries,
-    with one stacked eigensolve per block.
+    with one stacked eigensolve per block; a slice at a singular shift is
+    not eigensolved.
     """
     _check_which(which)
     ts = np.asarray(ts, dtype=float)
@@ -160,8 +158,7 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
             m, ok = P_stack(w, b, block), np.ones(block.size, dtype=bool)
         else:
             m, ok = R_stack(w, b, block)  # ok masks the t where I + tB passes the pivot test
-        if len(m):  # m stacks only the defined points; a block of singular shifts has none
-            radii[lo : lo + step][ok] = rho_stack(m)
+        radii[lo : lo + step][ok] = rho_stack(m[ok])
     return radii
 
 
@@ -324,7 +321,7 @@ def stability_threshold(
         block, t = points[:-1][points[:-1] <= edge], float(points[-1])
         m, ok = same_spectrum(block)
         proved = np.zeros(block.size, dtype=bool)
-        proved[ok] = _certified_powers(m) > 0
+        proved[ok] = _certified_powers(m[ok]) > 0  # a singular shift is never squared
         ts = block.tolist()
         for k in np.flatnonzero(~proved):
             hi, f_hi = ts[k], f(ts[k])

@@ -429,12 +429,13 @@ def test_stacked_builders_equal_one_point_calls_slice_by_slice():
         assert np.array_equal(r[k], R_of(family, t)), t
 
 
-def test_R_stack_drops_the_singular_slice_only():
+def test_R_stack_masks_the_singular_slice_only():
     family = make_family(validate_stochastic(W_BLUR), -np.eye(2))
     ts = np.array([0.5, 1.0, 1.5])  # I + tB = (1 - t) I vanishes at t = 1
     r, ok = R_stack(family.W.matrix, family.B, ts)
-    assert ok.tolist() == [True, False, True]
+    assert r.shape == (3, 2, 2) and ok.tolist() == [True, False, True]
     assert np.array_equal(r[0], R_of(family, 0.5))
-    assert np.array_equal(r[1], R_of(family, 1.5))
+    assert np.array_equal(r[2], R_of(family, 1.5))
+    assert np.array_equal(r[1], np.eye(2) - family.W.matrix)  # the finite placeholder I - W
     with pytest.raises(SingularShiftError):
         R_of(family, 1.0)

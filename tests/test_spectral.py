@@ -21,8 +21,8 @@ from pnpstab.spectral import (
     eigenvalues,
     rho,
     rho_stack,
-    shifted_inverse_norm,
     solve_linear,
+    solve_stack,
     symmetric_eigenvalues,
 )
 
@@ -188,6 +188,32 @@ def test_solve_reports_the_first_small_pivot():
         solve_linear(np.diag([1.0, 0.0, 1.0]), np.ones(3))
 
 
+def test_solve_stack_masks_small_pivots_and_zeroes_their_slices():
+    rng = np.random.default_rng(3)
+    a = np.stack(
+        [
+            rng.normal(size=(3, 3)) + 3.0 * np.eye(3),
+            np.diag([1.0, 0.0, 1.0]),  # an exact zero pivot: gesv skips the solve
+            np.diag([1.0, 1.0, 1e-14]),  # solvable, but the last pivot fails the relative test
+            np.ones((3, 3)),
+            rng.normal(size=(3, 3)) + 3.0 * np.eye(3),
+        ]
+    )
+    b = rng.normal(size=(3, 2))
+    x, small = solve_stack(a, b)
+    assert x.shape == (5, 3, 2) and small.shape == (5, 3)
+    assert small.any(axis=-1).tolist() == [False, True, True, True, False]
+    assert np.linalg.solve(a[2], b).all()  # so x[2] = 0 comes from the mask
+    for k in range(len(a)):
+        if small[k].any():
+            assert np.array_equal(x[k], np.zeros((3, 2)))
+            with pytest.raises(SingularMatrixError, match=f"at pivot {np.flatnonzero(small[k])[0]}$"):
+                solve_linear(a[k], b)
+        else:
+            assert np.array_equal(x[k], solve_linear(a[k], b))
+    assert [int(np.flatnonzero(s)[0]) for s in small[1:4]] == [1, 2, 1]
+
+
 def raised(call, *args):
     try:
         call(*args)
@@ -265,7 +291,8 @@ def test_shifted_inverse_contraction_for_psd():
         t = float(rng.choice([0.1, 1.0, 10.0]))
         radius = 1.0 if rng.random() < 0.3 else float(rng.uniform(1.0, 5.0))
         lam = radius * np.exp(2j * np.pi * rng.random())
-        assert shifted_inverse_norm(b, t, lam) <= 1.0 + 1e-10
+        smin = np.linalg.svd(lam * np.eye(n) + t * (lam - 1.0) * b, compute_uv=False)[-1]
+        assert 1.0 / smin <= 1.0 + 1e-10  # ||(lam I + t(lam - 1)B)^{-1}||_2
 
 
 # -- stability certificate ----------------------------------------------------

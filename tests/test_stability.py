@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pnpstab import spectral, stability
+from pnpstab import operators, stability
 from pnpstab.errors import NoConvergenceError, SingularShiftError
 from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
@@ -528,8 +528,8 @@ def test_certified_slices_have_radius_below_the_certified_bound(generator):
             similar, similar_ok = stability._same_spectrum(family, which)(ts)
             stack, ok = (P_stack(w, b, ts), np.ones(ts.size, dtype=bool)) if which == "P" else R_stack(w, b, ts)
             assert np.array_equal(similar_ok, ok)
-            radii = rho_stack(stack)
-            for t, m, e, r in zip(ts[ok], stack, similar, radii):
+            radii = rho_stack(stack[ok])
+            for t, m, e, r in zip(ts[ok], stack[ok], similar[ok], radii):
                 for basis, cand in (("built", m), ("same_spectrum", e)):
                     if k := stability._certified_powers(cand[None])[0]:
                         certified[basis] += 1
@@ -682,7 +682,7 @@ def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
         ("R", "stable_throughout_scan", 0, 0),  # eps0, where rho(R) is within 1e-4 of 1, certifies too
     ]:
         lu_calls = 0
-        real_lu = spectral._lu_solve_each
+        real_lu = operators.solve_stack
 
         def counting_lu(a, b):
             nonlocal lu_calls
@@ -690,7 +690,7 @@ def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
             return real_lu(a, b)
 
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_lu_solve_each", counting_lu)
+            m.setattr(operators, "solve_stack", counting_lu)
             budget_builders(m, most_builds)
             report, calls, _ = recorded_threshold(m, family, which, scan_max=3.0, grid_step=0.1875)
         assert report.classification == classification
@@ -786,13 +786,58 @@ def test_eigenbasis_operator_is_similar_and_guarded():
 @pytest.mark.parametrize("which", ["P", "R"])
 def test_same_spectrum_of_a_block_is_its_points_one_by_one(which, b, ts):
     # The guard is evaluated per t, so a block mixes the eigenbasis form, built points
-    # and singular shifts; each slice is bitwise its one-point matrix.
+    # and singular shifts; each slice is bitwise its one-point matrix, and a singular
+    # shift holds R_stack's finite placeholder I - W.
     family = make_family(validate_stochastic(W_BLUR), b)
     m, ok = stability._same_spectrum(family, which)(np.array(ts))
     points = [same_spectrum_at(family, which, t) for t in ts]
     assert list(ok) == [p is not None for p in points]
-    assert len(m) == sum(ok)
-    assert all(np.array_equal(a, p) for a, p in zip(m, [p for p in points if p is not None]))
+    assert m.shape == (len(ts), 2, 2)
+    placeholder = np.eye(2) - family.W.matrix
+    assert all(np.array_equal(a, placeholder if p is None else p) for a, p in zip(m, points))
+
+
+def test_a_singular_shift_is_neither_eigensolved_nor_squared(monkeypatch):
+    # I + 4B = diag(3, 0) is singular: its slice is masked out of every eigensolve and certificate.
+    family = make_family(validate_stochastic(W_BLUR), np.diag([0.5, -0.25]))
+    slices = {"rho_stack": 0, "_certified_powers": 0}
+    for name in slices:
+
+        def counting(stack, name=name, real=getattr(stability, name)):
+            slices[name] += len(stack)
+            return real(stack)
+
+        monkeypatch.setattr(stability, name, counting)
+    radii = rho_on_grid(family, "R", np.linspace(0.0, 8.0, 33))
+    assert np.isinf(radii[16]) and np.isfinite(np.delete(radii, 16)).all()
+    assert slices["rho_stack"] == 32
+    slices["rho_stack"] = 0
+    # One block of 11 scan points, 0.25, 1.0, ..., 7.75; the sixth is t = 4.
+    report = stability_threshold(family, "R", scan_max=8.0, grid_step=0.75, eps0=0.25)
+    assert report.classification == "stable_then_unstable"
+    assert slices["_certified_powers"] == 10
+
+
+W_WIDE = np.array([[0.3, 0.7], [0.6, 0.4]])
+
+
+def test_R_of_the_wide_family_is_stable_past_the_pivot_test():
+    # I + tB = diag(1 + t, 1) fails the relative pivot test from t = 1e13 on, yet R(t) is
+    # well defined there and its radius stays near sqrt(0.7).
+    family = make_family(validate_stochastic(W_WIDE), np.diag([1.0, 0.0]))
+    w, eye = family.W.matrix, np.eye(2)
+    for t in (1e13, 1e14, 3e14):
+        r = eye - w + np.linalg.solve(eye + t * family.B, 2.0 * w - eye)
+        assert abs(rho(r) - 0.83666) < 1e-5, t
+    with pytest.raises(SingularShiftError):
+        R_of(family, 1e13)
+
+
+@pytest.mark.xfail(strict=True, reason="the relative pivot test of I + tB, not rho, makes the crossing at t = 1e13")
+def test_R_threshold_of_the_wide_family_reports_no_crossing_that_the_pivot_test_makes():
+    family = make_family(validate_stochastic(W_WIDE), np.diag([1.0, 0.0]))
+    report = stability_threshold(family, "R", scan_max=3e14)
+    assert report.classification == "stable_throughout_scan", report
 
 
 def test_threshold_falls_back_to_built_operators_when_eigh_fails(monkeypatch):
