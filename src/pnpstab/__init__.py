@@ -33,12 +33,11 @@ from .operators import (
     make_family,
     predicted_slope,
 )
-from .pnp import InverseProblem, IterationTrace, empirical_rate, pgd_pnp_run
+from .pnp import InverseProblem, IterationTrace, pgd_pnp_run
 from .spectral import (
     eigenvalues,
     rho,
     solve_linear,
-    symmetric_eigenvalues,
 )
 from .stability import (
     ConjectureTrialResult,

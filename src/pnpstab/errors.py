@@ -1,22 +1,13 @@
 """The exception types that some caller tells apart, and the numerical failure.
 
-`operators.make_family` and `matrices._is_psd` catch NotSymmetricError,
-`pnp.pgd_pnp_run` catches InsufficientDataError and SingularMatrixError,
-and `perfbench/tracing.py` counts SingularShiftError by name.
-NoConvergenceError is a numerical failure: an eigensolver failed, or a
-left Perron vector was rejected. Every other invalid input raises a plain
-ValueError. The CLI prints a ValueError or ArithmeticError on one stderr
-line and exits 2. Each is raised with its message already formatted, so it
-survives the pickle round trip that brings it back from a worker process.
+`pnp.pgd_pnp_run` catches SingularMatrixError, and `perfbench/tracing.py`
+counts SingularShiftError by name. NoConvergenceError is a numerical
+failure: an eigensolver failed, or a left Perron vector was rejected. Every
+other invalid input raises a plain ValueError. The CLI prints a ValueError
+or ArithmeticError on one stderr line and exits 2. Each is raised with its
+message already formatted, so it survives the pickle round trip that brings
+it back from a worker process.
 """
-
-
-class NotSymmetricError(ValueError):
-    """Matrix is not symmetric within the requested tolerance."""
-
-
-class InsufficientDataError(ValueError):
-    """Trace too short or too converged for rate estimation."""
 
 
 class NoConvergenceError(ArithmeticError):

@@ -8,12 +8,12 @@ irreducible stochastic matrix.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotSymmetricError
+from .errors import NoConvergenceError
 
 __all__ = [
     "StochasticMatrix",
@@ -186,30 +186,18 @@ def left_perron_vector(w: StochasticMatrix) -> PerronData:
     return PerronData(pi=pi, residual=residual, iterations=0)
 
 
-def _symmetric_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
-    """Ascending eigenvalues of (M + M^T)/2; NotSymmetricError when
-    max |M - M^T| exceeds tol."""
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > tol:
-        raise NotSymmetricError(f"matrix asymmetry {asym} exceeds tolerance")
+def _symmetric_eigvals(m: np.ndarray, tol: float) -> np.ndarray | None:
+    """Ascending eigenvalues of (M + M^T)/2, or None when max |M - M^T| exceeds tol."""
+    if np.max(np.abs(m - m.T)) > tol:
+        return None
     return np.linalg.eigvalsh((m + m.T) / 2.0)
 
 
 def is_positive_semidefinite(b, tol: float = 1e-10) -> bool:
-    """True iff the symmetrized matrix has minimum eigenvalue >= -tol.
-
-    The input must be symmetric to within tol; it is symmetrized as
-    (B + B^T)/2 before the eigenvalue test.
-    """
-    return bool(_symmetric_eigvals(as_square_matrix(b), tol).min() >= -tol)
-
-
-def _is_psd(b, tol: float) -> bool:
-    # is_positive_semidefinite, reading an asymmetric matrix as not PSD.
-    try:
-        return is_positive_semidefinite(b, tol)
-    except NotSymmetricError:
-        return False
+    """True iff B is symmetric within tol and (B + B^T)/2 has minimum
+    eigenvalue >= -tol; an asymmetric B is not PSD."""
+    vals = _symmetric_eigvals(as_square_matrix(b), tol)
+    return vals is not None and bool(vals.min() >= -tol)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -218,25 +206,28 @@ def read_matrix(path) -> np.ndarray:
     Line 1 holds `rows cols`; each following non-comment line holds one
     matrix row of whitespace-separated decimals. `#` starts a comment.
     """
-    lines = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    try:
-        rows, cols = map(int, lines[0].split())
-    except ValueError:
-        raise ValueError(f"{path}: header must be `rows cols`") from None
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: dimensions must be positive")
-    if len(lines) - 1 != rows:
-        raise ValueError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
-    try:
-        data = np.loadtxt(lines[1:], ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open(path) as fh:
+        header = ""
+        for raw in fh:
+            header = raw.split("#", 1)[0].strip()
+            if header:
+                break
+        if not header:
+            raise ValueError(f"{path}: empty matrix file")
+        try:
+            rows, cols = map(int, header.split())
+        except ValueError:
+            raise ValueError(f"{path}: header must be `rows cols`") from None
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{path}: dimensions must be positive")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: the row count below rejects the file
+                data = np.loadtxt(fh, ndmin=2, comments="#")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if data.shape[0] != rows:
+        raise ValueError(f"{path}: expected {rows} data rows, found {data.shape[0]}")
     if data.shape[1] != cols:
         raise ValueError(f"{path}: rows have {data.shape[1]} entries, expected {cols}")
     try:

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetricError, SingularShiftError
+from .errors import SingularShiftError
 from .matrices import (
     PerronData,
     StochasticMatrix,
-    _is_psd,
+    _symmetric_eigvals,
     as_square_matrix,
+    is_positive_semidefinite,
     left_perron_vector,
     structure,
     validate_stochastic,
 )
-from .spectral import rho, solve_stack, symmetric_eigenvalues
+from .spectral import rho, solve_stack
 
 __all__ = [
     "OperatorFamily",
@@ -93,10 +94,8 @@ def make_family(w: StochasticMatrix, b) -> OperatorFamily:
     if b.shape[0] != w.n:
         raise ValueError(f"W is {w.n}x{w.n} but B is {b.shape[0]}x{b.shape[1]}")
     perron = left_perron_vector(w)
-    try:
-        rho_b = float(np.max(np.abs(symmetric_eigenvalues(b))))
-    except NotSymmetricError:
-        rho_b = rho(b)
+    vals = _symmetric_eigvals(b, 1e-9)
+    rho_b = rho(b) if vals is None else float(np.max(np.abs(vals)))
     b = b.copy()
     b.setflags(write=False)
     return OperatorFamily(W=w, B=b, perron=perron, rho_B=rho_b)
@@ -230,7 +229,7 @@ def conjecture_hypotheses(family: OperatorFamily) -> ConjectureHypotheses:
     margin = float(np.min(family.rho_B - be))
     return ConjectureHypotheses(
         w_primitive=structure(family.W).primitive,
-        b_psd=_is_psd(family.B, _HYP_TOL),
+        b_psd=is_positive_semidefinite(family.B, _HYP_TOL),
         be_bounded_by_rho=bool(margin >= -_HYP_TOL),
         pibe_positive=bool(pibe > _HYP_TOL),
         pibe=pibe,

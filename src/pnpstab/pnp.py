@@ -4,7 +4,8 @@ For a measurement matrix A, data b, denoiser W and step t, the
 gradient-then-denoise update x <- W(x - t(A^T A x - A^T b)) is the affine
 map x <- P(t) x + t W A^T b. `pgd_pnp_run` iterates it, recording the
 error against the affine fixed point and the loss; the error's geometric
-decay rate (`empirical_rate`) should approach rho(P(t)) for generic starts.
+decay rate (`IterationTrace.estimated_rate`) should approach rho(P(t)) for
+generic starts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, SingularMatrixError
+from .errors import SingularMatrixError
 from .matrices import StochasticMatrix, as_matrix
 from .operators import P_stack, gram
 from .spectral import solve_linear
@@ -24,7 +25,6 @@ __all__ = [
     "IterationTrace",
     "affine_map",
     "pgd_pnp_run",
-    "empirical_rate",
     "trace_to_csv",
 ]
 
@@ -135,41 +135,29 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
                 converged = True
                 break
     errors = np.asarray(errors)
-    try:
-        rate = empirical_rate_from_errors(errors)
-    except InsufficientDataError:
-        rate = None
     return IterationTrace(
         iterates_kept=len(losses),
         error_norms=errors,
         loss_values=np.asarray(losses),
-        estimated_rate=rate,
+        estimated_rate=empirical_rate_from_errors(errors),
         converged=converged,
     )
 
 
-def empirical_rate_from_errors(errors: np.ndarray) -> float:
-    """Geometric mean of successive error ratios over the last quartile."""
+def empirical_rate_from_errors(errors: np.ndarray) -> float | None:
+    """Geometric mean of successive error ratios over the last quartile.
+
+    None when there are fewer than 20 error norms, the last has bottomed
+    out at rounding noise, or the averaging window holds a zero error.
+    """
     errors = np.asarray(errors, dtype=float)
-    if errors.size < 20:
-        raise InsufficientDataError(f"need at least 20 error norms, have {errors.size}")
-    scale = max(1.0, float(errors[0]))
-    if errors[-1] <= 100.0 * _EPS * scale:
-        raise InsufficientDataError("trace bottomed out at rounding noise")
+    if errors.size < 20 or errors[-1] <= 100.0 * _EPS * max(1.0, float(errors[0])):
+        return None
     tail = errors[-max(2, errors.size // 4) :]
     if np.any(tail <= 0.0):
-        raise InsufficientDataError("zero error inside the averaging window")
+        return None
     ratios = tail[1:] / tail[:-1]
     return float(np.exp(np.mean(np.log(ratios))))
-
-
-def empirical_rate(trace: IterationTrace) -> float:
-    """Asymptotic per-step error contraction of a trace.
-
-    For a stable map with a simple dominant eigenvalue and generic start
-    this approaches the spectral radius.
-    """
-    return empirical_rate_from_errors(trace.error_norms)
 
 
 def trace_to_csv(trace: IterationTrace, path) -> None:

@@ -12,13 +12,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NoConvergenceError, SingularMatrixError
-from .matrices import _symmetric_eigvals, as_square_matrix
+from .matrices import as_square_matrix
 
 __all__ = [
     "eigenvalues",
     "rho",
     "rho_stack",
-    "symmetric_eigenvalues",
     "solve_linear",
     "solve_stack",
 ]
@@ -109,11 +108,6 @@ def _certified_powers(stack: np.ndarray) -> np.ndarray:
                 live, stack = live[going], stack[going]
             prev = norm[going]
     return powers
-
-
-def symmetric_eigenvalues(s) -> np.ndarray:
-    """Ascending real eigenvalues of a matrix symmetric within 1e-9."""
-    return _symmetric_eigvals(as_square_matrix(s), 1e-9)
 
 
 def solve_linear(a, b) -> np.ndarray:

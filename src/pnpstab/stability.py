@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -29,7 +30,7 @@ from .generators import (
     random_positive_stochastic,
     random_unit_psd,
 )
-from .matrices import _is_psd, structure, validate_stochastic
+from .matrices import is_positive_semidefinite, structure, validate_stochastic
 from .operators import (
     OperatorFamily,
     alpha_beta_B,
@@ -378,7 +379,7 @@ def _check_hypotheses(family: OperatorFamily, theorem: str) -> None:
         wwt = validate_stochastic(w @ w.T, tol=1e-8)
         _require(structure(wtw).irreducible, "W^T W is not irreducible")
         _require(structure(wwt).irreducible, "W W^T is not irreducible")
-        _require(_is_psd(b, tol), "B is not positive semidefinite")
+        _require(is_positive_semidefinite(b, tol), "B is not positive semidefinite")
         _require(np.abs(b.sum(axis=1)).max() > tol, "Be = 0")
     elif theorem == "inpainting":
         _require(structure(family.W).irreducible, "W is not irreducible")
@@ -572,8 +573,9 @@ def run_campaign(
     for i in range(trials):
         seed = base_seed + i
         specs.append((_trial_n(seed, n_min, n_max), generators[i % len(generators)], seed))
-    # A pool starts all of its workers at the first submit, however few the tasks.
-    workers = min(workers, trials)
+    # A pool starts all of its workers at the first submit, however few the tasks or CPUs.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, trials, cpus)
     if workers <= 1:
         results = [_run_trial_spec(s) for s in specs]
     else:

@@ -22,7 +22,7 @@ from pnpstab.operators import (
     kernel_denoiser,
     make_family,
 )
-from pnpstab.pnp import InverseProblem, empirical_rate, pgd_pnp_run
+from pnpstab.pnp import InverseProblem, pgd_pnp_run
 from pnpstab.spectral import eigenvalues, rho
 from pnpstab.stability import run_suite, slope_check, stability_threshold, suite_family
 
@@ -185,7 +185,7 @@ def test_criterion_12_pnp_convergence_and_rate():
         trace = pgd_pnp_run(problem, x0=np.zeros(n), max_iter=400, tol=0.0)
         assert trace.error_norms.size >= 300
         radius = rho(problem.W.matrix @ (np.eye(n) - problem.t * gram(problem.A)))
-        worst_rate_gap = max(worst_rate_gap, abs(empirical_rate(trace) - radius))
+        worst_rate_gap = max(worst_rate_gap, abs(trace.estimated_rate - radius))
     ok &= worst_rate_gap <= 0.02
     vals, vecs = np.linalg.eigh(B_CEX)
     sqrt_b = vecs @ np.diag(np.sqrt(vals)) @ vecs.T

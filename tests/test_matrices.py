@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from pnpstab.errors import NotSymmetricError
 from pnpstab.matrices import (
     is_positive_semidefinite,
     left_perron_vector,
@@ -292,8 +291,8 @@ def test_not_psd_indefinite():
 
 
 def test_psd_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
-        is_positive_semidefinite(np.array([[1.0, 2.0], [0.0, 1.0]]), tol=1e-10)
+    # Its symmetric part [[1, 1], [1, 1]] is PSD, but an asymmetric matrix is not.
+    assert not is_positive_semidefinite(np.array([[1.0, 2.0], [0.0, 1.0]]), tol=1e-10)
 
 
 def test_gram_matrices_are_psd():
@@ -353,6 +352,15 @@ def test_matrix_file_rejects_wrong_row_count(tmp_path):
     path.write_text("2 2\n1 2\n")
     with pytest.raises(ValueError):
         read_matrix(path)
+
+
+def test_header_only_matrix_file_is_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n# no data rows\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 2 data rows, found 0")):
+            read_matrix(path)
 
 
 def test_matrix_file_rejects_ragged_row(tmp_path):

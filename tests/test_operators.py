@@ -68,6 +68,15 @@ def test_make_family_caches_rho_b():
     assert family.rho_B == pytest.approx(1.0, abs=1e-12)
 
 
+def test_make_family_reads_an_asymmetric_b_with_the_general_eigensolver():
+    # B = [[1, 2], [0, 1]] has rho 1; its symmetric part has rho 2. It is not PSD.
+    b = np.array([[1.0, 2.0], [0.0, 1.0]])
+    family = swap_family(b)
+    assert family.rho_B == 1.0
+    assert not conjecture_hypotheses(family).b_psd
+    assert swap_family(b + b.T).rho_B == pytest.approx(4.0, abs=1e-12)
+
+
 def test_make_family_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="W is 2x2 but B is 3x3"):
         make_family(validate_stochastic(SWAP), np.eye(3))

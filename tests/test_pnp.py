@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from pnpstab.errors import InsufficientDataError, SingularMatrixError
+from pnpstab.errors import SingularMatrixError
 from pnpstab.matrices import validate_stochastic
 from pnpstab.operators import build_inpainting, gram, kernel_denoiser
 from pnpstab.pnp import (
     InverseProblem,
     IterationTrace,
     affine_map,
-    empirical_rate,
+    empirical_rate_from_errors,
     pgd_pnp_run,
     trace_to_csv,
 )
@@ -29,7 +29,7 @@ def fixed_point(problem):
 
 def geometric_trace(ratio, steps, start=1.0):
     errors = start * ratio ** np.arange(steps + 1.0)
-    return IterationTrace(steps + 1, errors, np.empty(0), None, False)
+    return IterationTrace(steps + 1, errors, np.empty(0), empirical_rate_from_errors(errors), False)
 
 
 def inpainting_problem(seed=0, n=4, mask=(1, 1, 0, 1), t=1.0):
@@ -169,7 +169,7 @@ def test_run_without_fixed_point_records_losses_only():
 def test_empirical_rate_exact_for_scaled_identity():
     alpha = 0.8
     trace = geometric_trace(alpha, 60, start=np.linalg.norm([1.0, -2.0, 0.5]))
-    assert empirical_rate(trace) == pytest.approx(alpha, abs=1e-10)
+    assert trace.estimated_rate == pytest.approx(alpha, abs=1e-10)
 
 
 def test_empirical_rate_matches_spectral_radius_on_slow_run():
@@ -177,19 +177,22 @@ def test_empirical_rate_matches_spectral_radius_on_slow_run():
     trace = pgd_pnp_run(problem, x0=np.zeros(4), max_iter=400, tol=0.0)
     radius = rho(problem.W.matrix @ (np.eye(4) - problem.t * gram(problem.A)))
     assert trace.error_norms.size >= 300
-    assert empirical_rate(trace) == pytest.approx(radius, abs=0.02)
+    assert trace.estimated_rate == pytest.approx(radius, abs=0.02)
 
 
 def test_empirical_rate_needs_enough_points():
-    trace = geometric_trace(0.5, 5)
-    with pytest.raises(InsufficientDataError):
-        empirical_rate(trace)
+    assert geometric_trace(0.5, 5).estimated_rate is None
 
 
 def test_empirical_rate_rejects_bottomed_out_traces():
-    trace = geometric_trace(0.01, 300)
-    with pytest.raises(InsufficientDataError):
-        empirical_rate(trace)
+    assert geometric_trace(0.01, 300).estimated_rate is None
+
+
+def test_empirical_rate_rejects_a_zero_error_in_its_window():
+    errors = np.ones(40)
+    errors[35] = 0.0
+    assert empirical_rate_from_errors(errors) is None
+    assert empirical_rate_from_errors(np.ones(40)) == 1.0
 
 
 def test_trace_csv_layout(tmp_path):
