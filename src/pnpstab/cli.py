@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def _cmd_check(args) -> int:
         base_seed=args.seed,
         grid_steps=args.grid_steps,
     )
-    _write_jsonl(args.out, [r.to_json_dict() for r in results] + [summary])
+    _write_jsonl(args.out, chain((r.to_json_dict() for r in results), [summary]))
     print(f"suite {args.suite}: {summary['passed']}/{summary['trials']} instances passed")
     return 0 if summary["failed"] == 0 else 1
 
@@ -150,7 +151,7 @@ def _cmd_fuzz(args) -> int:
         base_seed=args.seed,
         workers=args.workers,
     )
-    _write_jsonl(args.out, [r.to_json_dict() for r in results] + [summary.to_json_dict()])
+    _write_jsonl(args.out, chain((r.to_json_dict() for r in results), [summary.to_json_dict()]))
     print(
         f"fuzz: {summary.trials} trials, {summary.passes} pass, "
         f"{summary.hypotheses_unmet} hypotheses_unmet, {summary.violations} violations"

@@ -206,9 +206,9 @@ def read_matrix(path) -> np.ndarray:
     Line 1 holds `rows cols`; each following non-comment line holds one
     matrix row of whitespace-separated decimals. `#` starts a comment.
     """
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # a byte that is not UTF-8 reads as U+FFFD, which is no number
         header = ""
-        for raw in fh:
+        for header_line, raw in enumerate(fh, start=1):
             header = raw.split("#", 1)[0].strip()
             if header:
                 break
@@ -225,6 +225,12 @@ def read_matrix(path) -> np.ndarray:
                 warnings.simplefilter("ignore", UserWarning)  # no data rows: the row count below rejects the file
                 data = np.loadtxt(fh, ndmin=2, comments="#")
         except ValueError as exc:
+            fh.seek(0)  # numpy's row numbers skip the header, comments and blank lines: name the file line
+            for k, raw in enumerate(fh, start=1):
+                row = raw.split("#", 1)[0].strip()
+                if k > header_line and row and not _is_row(row, cols):
+                    exc = f"line {k} is not {cols} numbers: {row!r}"
+                    break
             raise ValueError(f"{path}: {exc}") from None
     if data.shape[0] != rows:
         raise ValueError(f"{path}: expected {rows} data rows, found {data.shape[0]}")
@@ -234,6 +240,14 @@ def read_matrix(path) -> np.ndarray:
         return as_matrix(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _is_row(line: str, cols: int) -> bool:
+    """Whether np.loadtxt reads one comment-free line as `cols` numbers."""
+    try:
+        return np.loadtxt([line]).size == cols
+    except ValueError:
+        return False
 
 
 def write_matrix(path, m) -> None:

@@ -66,7 +66,7 @@ class OperatorFamily:
         return self.W.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjectureHypotheses:
     """Hypotheses of the 2/rho(B) stability conjecture for one family.
 

@@ -163,23 +163,23 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     return radii
 
 
-def _first_unstable(family: OperatorFamily, ts: np.ndarray, limit: float, whiches: tuple[str, ...]):
-    """First (k, which, rho) in grid order with rho >= limit, or None.
+def _first_unstable(family: OperatorFamily, ts: np.ndarray, limit: float) -> tuple[float, float, str] | None:
+    """First (t, rho, which) in grid order with rho >= limit, or None.
 
-    At each t the operators are tried in the order of `whiches`; a singular
-    shift counts as rho = inf. Each operator is evaluated on the whole grid
-    by one `rho_on_grid` call. An eigensolver failure met before any
-    crossing raises NoConvergenceError; one past it is ignored.
+    At each t, P is tried before R; a singular shift counts as rho = inf.
+    Each operator is evaluated on the whole grid by one `rho_on_grid` call.
+    An eigensolver failure met before any crossing raises
+    NoConvergenceError; one past it is ignored.
     """
-    radii = np.column_stack([rho_on_grid(family, which, ts) for which in whiches]).ravel()
-    bad = np.flatnonzero(~(radii < limit))
+    radii = np.column_stack([rho_on_grid(family, "P", ts), rho_on_grid(family, "R", ts)])
+    bad = np.argwhere(~(radii < limit))  # row-major: by t, then P before R
     if not bad.size:
         return None
-    r = float(radii[bad[0]])
-    k, j = divmod(int(bad[0]), len(whiches))
+    k, j = bad[0]
+    r = float(radii[k, j])
     if math.isnan(r):
         raise NoConvergenceError(f"eigensolver failed at t = {ts[k]}")
-    return k, whiches[j], r
+    return float(ts[k]), r, "PR"[j]
 
 
 @dataclass(frozen=True)
@@ -411,20 +411,15 @@ def check_theorem_bound(family: OperatorFamily, theorem: str, grid_steps: int = 
     (0, 2/rho(B)), or None when rho(P) and rho(R) stay below it.
 
     Hypotheses of the named bound are verified first and raise ValueError
-    when violated. P is scanned over the whole grid before R, so a failure
-    of both is reported as P.
+    when violated. The earliest failing grid point is reported, P first
+    when both fail there.
     """
     if grid_steps < 1:
         raise ValueError("need grid_steps >= 1")
     _check_hypotheses(family, theorem)
     if family.rho_B <= 0.0:
         raise ValueError("rho(B) = 0; the interval (0, 2/rho(B)) is empty")
-    ts = _open_grid(2.0 / family.rho_B, grid_steps)
-    for which in ("P", "R"):
-        crossing = _first_unstable(family, ts, 1.0 - _SUITE_SLACK, (which,))
-        if crossing is not None:
-            return float(ts[crossing[0]]), crossing[2], which
-    return None
+    return _first_unstable(family, _open_grid(2.0 / family.rho_B, grid_steps), 1.0 - _SUITE_SLACK)
 
 
 class SlopeCheck(NamedTuple):
@@ -449,7 +444,7 @@ def slope_check(family: OperatorFamily, which: str, h: float = 1e-5) -> SlopeChe
     return SlopeCheck(fd_slope=fd, predicted=predicted, abs_error=abs(fd - predicted))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjectureTrialResult:
     """One fuzzer trial: generated instance, hypotheses, and verdict.
 
@@ -475,12 +470,8 @@ def evaluate_conjecture_family(family: OperatorFamily) -> tuple[ConjectureHypoth
     hyp = conjecture_hypotheses(family)
     if not hyp.all_met():
         return hyp, "hypotheses_unmet", None
-    ts = _open_grid(2.0 / family.rho_B, 256)
-    crossing = _first_unstable(family, ts, 1.0 - _VIOLATION_SLACK, ("P", "R"))
-    if crossing is None:
-        return hyp, "pass", None
-    k, which, r = crossing
-    return hyp, "violation", (float(ts[k]), r, which)
+    certificate = _first_unstable(family, _open_grid(2.0 / family.rho_B, 256), 1.0 - _VIOLATION_SLACK)
+    return hyp, "pass" if certificate is None else "violation", certificate
 
 
 def _imaging_instance(rng: np.random.Generator, n: int) -> OperatorFamily:
@@ -511,15 +502,7 @@ def conjecture_trial(n: int, generator: str, seed: int) -> ConjectureTrialResult
         family = _general_psd_instance(rng, n)
     else:
         raise ValueError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
-    hyp, verdict, certificate = evaluate_conjecture_family(family)
-    return ConjectureTrialResult(
-        seed=seed,
-        n=n,
-        generator=generator,
-        hypotheses=hyp,
-        verdict=verdict,
-        certificate=certificate,
-    )
+    return ConjectureTrialResult(seed, n, generator, *evaluate_conjecture_family(family))
 
 
 @dataclass(frozen=True)
@@ -598,7 +581,7 @@ def run_campaign(
     return results, summary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteInstanceResult:
     suite: str
     seed: int

@@ -1,0 +1,43 @@
+"""Exact P thresholds of the alpha*I + beta*E class, for any stochastic W.
+
+With B = alpha I + beta E, span(e) is invariant under P(t) = W (I - tB), and
+P(t) acts on it as 1 - t(alpha + n beta). On the rest of the spectrum B acts
+as alpha I, so the other eigenvalues of P(t) are (1 - t alpha) lambda for each
+eigenvalue lambda != 1 of W. rho(P(t)) is therefore
+max(|1 - t(alpha + n beta)|, |1 - t alpha| rho_2), with rho_2 the largest
+|lambda| other than 1, and P first reaches rho = 1 at
+T = min(2 / (alpha + n beta), (1 + 1/rho_2) / alpha), the second term only
+when alpha > 0. The oracle calls no eigensolver on P.
+"""
+
+import numpy as np
+
+from pnpstab.stability import _trial_n, rho_on_grid, stability_threshold, suite_family
+
+SEEDS = range(200)  # the `check --suite alpha_beta` instances at the default --n 8
+
+
+def alpha_beta_case(seed):
+    family = suite_family("alpha_beta", seed, _trial_n(seed, 2, 8))
+    beta = float(family.B[0, 1])
+    alpha = float(family.B[0, 0]) - beta
+    lam = np.linalg.eigvals(family.W.matrix)
+    rho_2 = float(np.abs(np.delete(lam, np.argmin(np.abs(lam - 1.0)))).max())
+    t = min(2.0 / (alpha + family.n * beta), (1.0 + 1.0 / rho_2) / alpha if alpha > 0.0 else np.inf)
+    return family, alpha, beta, rho_2, t
+
+
+def test_P_threshold_matches_the_alpha_beta_oracle():
+    for seed in SEEDS:
+        family, _, _, _, t = alpha_beta_case(seed)
+        report = stability_threshold(family, "P", scan_max=1.5 * t, bisect_tol=1e-12)
+        assert report.classification == "stable_then_unstable", seed
+        assert abs(report.T_star - t) <= 1e-12 * t, (seed, report.T_star, t)
+
+
+def test_P_radius_matches_the_alpha_beta_oracle_past_the_crossing():
+    for seed in SEEDS:
+        family, alpha, beta, rho_2, t = alpha_beta_case(seed)
+        ts = 1.4 * t * np.arange(1, 24) / 23
+        want = np.maximum(np.abs(1.0 - ts * (alpha + family.n * beta)), np.abs(1.0 - ts * alpha) * rho_2)
+        np.testing.assert_allclose(rho_on_grid(family, "P", ts), want, rtol=0, atol=1e-13, err_msg=f"seed {seed}")

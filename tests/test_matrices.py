@@ -371,6 +371,33 @@ def test_matrix_file_rejects_ragged_row(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("2 2\n1 x\n3 4\n", 2, id="non_numeric_entry"),
+        pytest.param("2 2\n1 2\n3\n", 3, id="short_row"),
+        pytest.param("# c\n2 2\n\n# mid\n1 2\n3 y\n", 6, id="after_comments_and_blanks"),
+        pytest.param("2 2\n1 2\n# gap\n\n3 4 5\n", 5, id="long_row_after_a_gap"),
+    ],
+)
+def test_malformed_matrix_row_error_names_its_file_line(tmp_path, text, line):
+    # Lines count from 1 and include the header, comments and blank lines.
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line} is not 2 numbers: ")) as exc:
+        read_matrix(path)
+    assert "row" not in str(exc.value).removeprefix(str(path))  # numpy's row numbers skip comments
+
+
+def test_a_byte_that_is_not_utf8_is_no_number_and_is_ignored_in_a_comment(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"2 2\n1 \xff\n3 4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2 is not 2 numbers: ")):
+        read_matrix(path)
+    path.write_bytes(b"2 2  # caf\xe9\n1 2\n3 4\n")
+    np.testing.assert_array_equal(read_matrix(path), [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
     "text",
     [
         pytest.param("# only a comment\n\n", id="empty"),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import re
 
 import numpy as np
@@ -191,13 +192,13 @@ def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch
 # -- _first_unstable (fuzz and check) against the per-point path ---------------
 
 
-def first_unstable_reference(family, ts, limit, whiches):
-    """The per-point reference of _first_unstable: grid order, `whiches` in order at each t."""
-    radii = {which: per_point_rho(family, which, ts) for which in whiches}
+def first_unstable_reference(family, ts, limit):
+    """The per-point reference of _first_unstable: grid order, P before R at each t."""
+    radii = {which: per_point_rho(family, which, ts) for which in ("P", "R")}
     for k in range(ts.size):
-        for which in whiches:
+        for which in ("P", "R"):
             if not radii[which][k] < limit:
-                return k, which, float(radii[which][k])
+                return float(ts[k]), float(radii[which][k]), which
     return None
 
 
@@ -207,23 +208,21 @@ def multi_block_case(n, seed, upper):
 
 
 @pytest.mark.parametrize(
-    "n, seed, upper, whiches, block_of_crossing",
+    "n, seed, upper, block_of_crossing",
     [
-        (12, 0, 12.0, ("P", "R"), 0),
-        (16, 1, 12.0, ("P", "R"), 0),
-        (16, 1, 12.0, ("R", "P"), 0),
-        (24, 0, 6.0, ("P", "R"), 3),
-        (20, 0, 2.0, ("P", "R"), None),
-        (24, 2, 12.0, ("R",), None),
+        (12, 0, 12.0, 0),
+        (16, 1, 12.0, 0),
+        (24, 0, 6.0, 3),
+        (20, 0, 2.0, None),
     ],
 )
-def test_first_unstable_on_several_blocks_is_the_per_point_scan(n, seed, upper, whiches, block_of_crossing):
+def test_first_unstable_on_several_blocks_is_the_per_point_scan(n, seed, upper, block_of_crossing):
     family, ts = multi_block_case(n, seed, upper)
     block = stability._block_points(n)
     assert ts.size > 2 * block  # at least three blocks
-    got = stability._first_unstable(family, ts, 1.0 - 1e-12, whiches)
-    assert got == first_unstable_reference(family, ts, 1.0 - 1e-12, whiches)
-    assert (None if got is None else got[0] // block) == block_of_crossing
+    got = stability._first_unstable(family, ts, 1.0 - 1e-12)
+    assert got == first_unstable_reference(family, ts, 1.0 - 1e-12)
+    assert (None if got is None else int(np.flatnonzero(ts == got[0])[0]) // block) == block_of_crossing
 
 
 def eigvals_failing_at(monkeypatch, matrices):
@@ -242,22 +241,22 @@ def eigvals_failing_at(monkeypatch, matrices):
 def test_first_unstable_ignores_an_eigensolver_failure_past_the_crossing(monkeypatch):
     family, ts = multi_block_case(16, 1, 12.0)
     block = stability._block_points(16)
-    want = stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R"))
-    assert want[0] < block  # the crossing is in the first block; the failures are in later ones
+    want = stability._first_unstable(family, ts, 1.0 - 1e-12)
+    assert want[0] < ts[block]  # the crossing is in the first block; the failures are in later ones
     eigvals_failing_at(monkeypatch, [P_of(family, ts[block + 3]), R_of(family, ts[3 * block])])
     assert math.isnan(rho_on_grid(family, "P", ts)[block + 3]) and math.isnan(rho_on_grid(family, "R", ts)[3 * block])
-    assert stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R")) == want
+    assert stability._first_unstable(family, ts, 1.0 - 1e-12) == want
 
 
 def test_first_unstable_raises_at_an_eigensolver_failure_before_the_crossing(monkeypatch):
     family, ts = multi_block_case(24, 0, 6.0)
     block = stability._block_points(24)
-    k = stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R"))[0]
-    assert k >= 3 * block  # the crossing is in the fourth block; the failure is in the second
+    t = stability._first_unstable(family, ts, 1.0 - 1e-12)[0]
+    assert t >= ts[3 * block]  # the crossing is in the fourth block; the failure is in the second
     eigvals_failing_at(monkeypatch, [R_of(family, ts[block + 5])])
     assert math.isnan(rho_on_grid(family, "R", ts)[block + 5])
     with pytest.raises(NoConvergenceError, match=re.escape(f"eigensolver failed at t = {ts[block + 5]}")):
-        stability._first_unstable(family, ts, 1.0 - 1e-12, ("P", "R"))
+        stability._first_unstable(family, ts, 1.0 - 1e-12)
 
 
 # -- profiles -----------------------------------------------------------------
@@ -949,6 +948,17 @@ def test_bound_check_reports_p_before_r_at_the_same_point(monkeypatch):
     assert rho_on_grid(family, "R", [t])[0] > r
 
 
+def test_bound_check_reports_the_earliest_failing_grid_point_of_either_operator(monkeypatch):
+    # R fails from grid point 15 on, P only from 62; B is indefinite, so the hypothesis check is switched off.
+    monkeypatch.setattr(stability, "_check_hypotheses", lambda family, theorem: None)
+    family = make_family(validate_stochastic([[0.1, 0.9], [0.6, 0.4]]), [[0.8, 0.8], [0.8, -0.3]])
+    ts = stability._open_grid(2.0 / family.rho_B, 64)
+    rho_p, rho_r = rho_on_grid(family, "P", ts), rho_on_grid(family, "R", ts)
+    assert np.flatnonzero(rho_p >= 1.0 - 1e-10)[0] == 62
+    assert np.flatnonzero(rho_r >= 1.0 - 1e-10)[0] == 15
+    assert check_theorem_bound(family, "conjecture") == (ts[15], rho_r[15], "R")
+
+
 def test_bound_check_rejects_unknown_theorem():
     with pytest.raises(ValueError):
         check_theorem_bound(blur_family(), "nonsense")
@@ -1014,6 +1024,21 @@ def test_encoded_hypotheses_admit_counterexamples_from_the_fuzzer(seed):
     assert r >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("seed", [523, 1869, 3394, 3707])
+def test_P_and_R_of_the_fuzzer_counterexamples_cross_together_through_plus_one(seed):
+    # If P(t)u = u, then v = (I - tB)u is not 0 and R(t)v = v, and the converse holds the same way,
+    # so P and R share every +1 crossing.
+    family = stability._general_psd_instance(np.random.default_rng(seed), 3)
+    reports = {}
+    for which, build in (("P", P_of), ("R", R_of)):
+        report = stability_threshold(family, which, scan_max=4.0 / family.rho_B, bisect_tol=1e-12)
+        assert report.classification == "stable_then_unstable"
+        eigs = np.linalg.eigvals(build(family, report.bracket[1]))
+        assert abs(eigs[np.argmax(np.abs(eigs))] - 1.0) <= 1e-9
+        reports[which] = report
+    assert abs(reports["P"].T_star - reports["R"].T_star) <= 1e-12
+
+
 # -- slope checks -----------------------------------------------------------------
 
 
@@ -1062,6 +1087,16 @@ def test_trial_is_deterministic():
     a = conjecture_trial(5, "general_psd", seed=123)
     b = conjecture_trial(5, "general_psd", seed=123)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+
+def test_trial_and_suite_records_survive_a_pickle_round_trip():
+    # The --workers pool returns each trial record through pickle; the records are slotted.
+    trial = conjecture_trial(3, "general_psd", seed=523)
+    assert trial.verdict == "violation"
+    instance = run_suite("alpha_beta", 1)[0][0]
+    for record in (trial, trial.hypotheses, instance):
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_trial_rejects_unknown_generator():
