@@ -133,6 +133,34 @@ def _same_spectrum(family: OperatorFamily, which: str):
     return r_similar
 
 
+def _deflate_e(family: OperatorFamily) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(beta, W2, W2B2) when B's row sums equal one beta > 0 within rounding, else None.
+
+    We = e and Be = beta e make e an eigenvector of P(t) = W (I - tB) with eigenvalue 1 - t beta.
+    The Householder reflector H = I - 2vv^T / v^Tv, v = e_1 + e / sqrt(n), has first column
+    -e / sqrt(n), so H P(t) H = [[1 - t beta, *], [0, W2 - t W2B2]], W2 and W2B2 the trailing
+    (n-1)x(n-1) blocks of HWH and H WB H, and the rest of P(t)'s spectrum is that of
+    W2 - t W2B2 (deflation: Golub & Van Loan, Matrix Computations, 4th ed., sec. 7.4), whether
+    or not B is symmetric. Row sums within n eps max_i sum_j |b_ij| of each other keep the
+    dropped column H P(t) H [1:, 0] within the rounding that the product WB already carries.
+    """
+    b, n = family.B, family.n
+    rows = b.sum(axis=1)
+    beta = float(rows.mean())
+    if not beta > 0.0 or np.ptp(rows) > n * np.finfo(float).eps * np.abs(b).sum(axis=1).max():
+        return None
+    v = np.full(n, 1.0 / math.sqrt(n))
+    v[0] += 1.0
+    v2 = (2.0 / (v @ v)) * v
+
+    def trailing_block(m):  # of H m H, by two rank-one updates
+        m = m - np.outer(v2, v @ m)
+        return (m - np.outer(m @ v, v2))[1:, 1:]
+
+    w = family.W.matrix
+    return beta, trailing_block(w), trailing_block(w @ b)
+
+
 def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     """rho(P(t)) or rho(R(t)) at every t of a 1-D grid.
 
@@ -234,7 +262,10 @@ class ThresholdReport:
     crossing at the scanned resolution, not a global supremum. Every rho
     is a `rho_on_grid` value; scan points that ||M^k||_F <= 1/2 proves
     stable, certified a block of scan points at a time, cost no eigensolve
-    and change no field.
+    and change no field. For P where Be = beta e, the sign of rho - 1 may
+    come from 1 - t beta and the deflated rest of P instead; the bracket
+    holds the same sign change, so T_star moves by at most bisect_tol where
+    rho - 1 changes sign once between the two scan points.
     """
 
     which: str
@@ -272,8 +303,9 @@ def stability_threshold(
     Scans t = eps0, eps0 + grid_step, ... <= scan_max; a crossing is
     refined by Illinois regula falsi on rho - 1 until the bracket is no
     wider than bisect_tol, or until its ends are adjacent floats when
-    bisect_tol is finer than the float spacing at the crossing. Every rho is
-    a one-point `rho_on_grid` value. The scan certifies a block of
+    bisect_tol is finer than the float spacing at the crossing. Each rho - 1
+    is a one-point `rho_on_grid` value less 1, except for P where Be = beta e
+    (below). The scan certifies a block of
     `rho_on_grid`'s block size at a time, then walks its unproved points.
     One stacked squaring (`spectral._certified_powers`) per block finds some
     ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16; past 64 only while the powers
@@ -288,6 +320,16 @@ def stability_threshold(
     build, so an eigenvalue moves by about kappa(lambda) n eps.
     The certified bound sits 1.06e-5 below 1, so every report is the one an
     eigensolve at every scan point gives while kappa(lambda) n eps << 1e-5.
+
+    For P where B's row sums equal one beta > 0 within rounding (`_deflate_e`),
+    P(t) has the eigenvalue 1 - t beta on e, and the rest of its spectrum is
+    that of W2 - t W2B2. A point the walk evaluates gets |1 - t beta| - 1 where
+    that is >= 0 (rho >= 1), or where `_certified_powers` proves W2 - t W2B2
+    stable (rho < 1); only other points are eigensolved. The sign is that of
+    rho - 1, by the argument above, since the deflation drops no more than the
+    rounding of WB. The value is not always rho - 1, so the secant may step
+    elsewhere: where rho - 1 changes sign once between the two scan points,
+    T_star moves by at most bisect_tol.
     """
     _check_which(which)
     if grid_step is None:
@@ -309,7 +351,14 @@ def stability_threshold(
             eps0=eps0,
         )
 
+    deflated = _deflate_e(family) if which == "P" else None
+
     def f(t: float) -> float:
+        if deflated is not None:
+            beta, w2, w2b2 = deflated
+            e_radius = abs(1.0 - t * beta)  # of P(t)'s eigenvalue on e
+            if e_radius >= 1.0 or _certified_powers((w2 - t * w2b2)[None])[0] > 0:
+                return e_radius - 1.0  # the sign of rho(P(t)) - 1
         return _rho_at(family, which, t) - 1.0
 
     same_spectrum = _same_spectrum(family, which)

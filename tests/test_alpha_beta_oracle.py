@@ -8,10 +8,13 @@ max(|1 - t(alpha + n beta)|, |1 - t alpha| rho_2), with rho_2 the largest
 |lambda| other than 1, and P first reaches rho = 1 at
 T = min(2 / (alpha + n beta), (1 + 1/rho_2) / alpha), the second term only
 when alpha > 0. The oracle calls no eigensolver on P.
+
+R(t) has a closed form as well; see test_R_radius_matches_the_alpha_beta_oracle.
 """
 
 import numpy as np
 
+from pnpstab import stability
 from pnpstab.stability import _trial_n, rho_on_grid, stability_threshold, suite_family
 
 SEEDS = range(200)  # the `check --suite alpha_beta` instances at the default --n 8
@@ -41,3 +44,44 @@ def test_P_radius_matches_the_alpha_beta_oracle_past_the_crossing():
         ts = 1.4 * t * np.arange(1, 24) / 23
         want = np.maximum(np.abs(1.0 - ts * (alpha + family.n * beta)), np.abs(1.0 - ts * alpha) * rho_2)
         np.testing.assert_allclose(rho_on_grid(family, "P", ts), want, rtol=0, atol=1e-13, err_msg=f"seed {seed}")
+
+
+def test_P_threshold_past_a_crossing_of_the_deflated_rest_is_eigensolved(monkeypatch):
+    # Be = (alpha + n beta) e for every instance, so P's e-eigenvalue 1 - t(alpha + n beta)
+    # is split off. Where (1 + 1/rho_2)/alpha comes first, the crossing is in the rest of
+    # the spectrum: the walk cannot certify it and eigensolves up to it.
+    eigensolved = []
+    real_grid = stability.rho_on_grid
+
+    def recording(family, which, ts):
+        eigensolved.append(float(ts[0]))
+        return real_grid(family, which, ts)
+
+    monkeypatch.setattr(stability, "rho_on_grid", recording)
+    crossings = 0
+    for seed in SEEDS:
+        family, alpha, beta, _, t = alpha_beta_case(seed)
+        assert stability._deflate_e(family) is not None, seed
+        if t == 2.0 / (alpha + family.n * beta):
+            continue
+        crossings += 1
+        eigensolved.clear()
+        report = stability_threshold(family, "P", scan_max=1.5 * t, bisect_tol=1e-12)
+        assert abs(report.T_star - t) <= 1e-12 * t, (seed, report.T_star, t)
+        assert max(eigensolved) >= report.bracket[1], seed
+    assert crossings >= 5  # the sweep is not vacuous
+
+
+def test_R_radius_matches_the_alpha_beta_oracle():
+    # In a basis whose first vector is e / sqrt(n), B = diag(alpha + n beta, alpha I) and W is
+    # block upper triangular, so R(t) is too: rho(R(t)) = max(1 / (1 + t(alpha + n beta)),
+    # max over lambda != 1 of |1 - lambda + (2 lambda - 1) / (1 + t alpha)|).
+    for seed in SEEDS:
+        family, alpha, beta, _, t = alpha_beta_case(seed)
+        lam = np.linalg.eigvals(family.W.matrix)
+        lam = np.delete(lam, np.argmin(np.abs(lam - 1.0)))
+        ts = t * np.geomspace(1e-3, 100.0, 23)
+        shrink = 1.0 / (1.0 + ts * alpha)
+        rest = np.abs(1.0 - lam + (2.0 * lam - 1.0) * shrink[:, None]).max(axis=1)
+        want = np.maximum(1.0 / (1.0 + ts * (alpha + family.n * beta)), rest)
+        np.testing.assert_allclose(rho_on_grid(family, "R", ts), want, rtol=0, atol=1e-13, err_msg=f"seed {seed}")

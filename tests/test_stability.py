@@ -181,8 +181,10 @@ def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch
 
     monkeypatch.setattr(np.linalg, "eigvals", always_fails)
     assert np.all(np.isnan(rho_on_grid(family, "R", [0.5, 1.0])))
+    # Be = e: P's threshold crosses through its e-eigenvalue and needs no eigensolve.
+    assert stability_threshold(family, "P", scan_max=3.0).classification == "stable_then_unstable"
     with pytest.raises(NoConvergenceError, match="^eigensolver failed at t = "):
-        stability_threshold(family, "P", scan_max=3.0)
+        stability_threshold(make_family(family.W, np.diag([3.0, 0.5])), "P", scan_max=3.0)
     with pytest.raises(NoConvergenceError, match=re.escape(f"eigensolver failed at t = {2.0 / family.rho_B / 65}")):
         check_theorem_bound(family, "conjecture")
     with pytest.raises(NoConvergenceError, match="^eigensolver failed at t = 1e-05$"):
@@ -540,14 +542,27 @@ def test_certified_slices_have_radius_below_the_certified_bound(generator):
 
 
 def assert_certificate_changes_no_report(monkeypatch, family, scan_max, grid_steps=(None, 0.1875)):
+    """The report equals the one an eigensolve at every scan point gives: bitwise, except
+    for P where Be = beta e, whose walk reads the sign of rho - 1 off P's e-eigenvalue and
+    the deflated rest; there it has the same classification, a T_star within bisect_tol
+    and a bracket that eigensolves confirm."""
     for which in ("P", "R"):
         for grid_step in grid_steps:
             if grid_step is not None and grid_step >= scan_max:
                 continue
             with monkeypatch.context() as m:
                 m.setattr(stability, "_certified_powers", lambda stack: np.zeros(len(stack), dtype=int))  # certify nothing
+                m.setattr(stability, "_deflate_e", lambda family: None)  # and deflate nothing
                 want = stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step)
-            assert stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step) == want
+            got = stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step)
+            if which == "R" or stability._deflate_e(family) is None:
+                assert got == want
+                continue
+            assert got.classification == want.classification
+            if got.bracket is not None:
+                assert abs(got.T_star - want.T_star) <= got.bisect_tol
+                r_lo, r_hi = rho_on_grid(family, "P", got.bracket)
+                assert r_lo < 1.0 <= r_hi
 
 
 @pytest.mark.parametrize("generator", ["imaging", "general_psd"])
@@ -595,9 +610,11 @@ def counted_certificates(monkeypatch):
 def test_threshold_certifies_the_remark_1_7_scan_in_one_call(monkeypatch):
     # n = 2 puts 8192 points in a block, so the scan eps0, eps0 + 3/2048, ... <= 3 is one block.
     sizes = counted_certificates(monkeypatch)
-    report = stability_threshold(example_family("remark_1_7"), "P", scan_max=3.0)
+    report, calls, _ = recorded_threshold(monkeypatch, example_family("remark_1_7"), "P", scan_max=3.0)
     assert report.classification == "stable_then_unstable" and abs(report.T_star - 2.0) < 1e-6
-    assert sizes == [2048]  # one call for the whole scan (1367 one-point calls before)
+    # One call for the whole scan (1367 one-point calls before). Be = e, so the walk then
+    # certifies the 1x1 deflated rest of P at the two points below 2 that it needs, and eigensolves none.
+    assert sizes == [2048, 1, 1] and calls == []
 
 
 def test_threshold_crossing_at_the_first_point_of_a_block(monkeypatch):
@@ -605,6 +622,8 @@ def test_threshold_crossing_at_the_first_point_of_a_block(monkeypatch):
     # first 8192-point block sits just below 2 and is certified, and the first point
     # of the second block is the crossing, so the secant needs rho at a point of the
     # block before, which the scan never eigensolved.
+    # Deflation is off, so the walk eigensolves where the scan left off.
+    monkeypatch.setattr(stability, "_deflate_e", lambda family: None)
     family = blur_family()
     block = stability._block_points(family.n)
     eps0 = 1e-4
@@ -628,7 +647,9 @@ def test_threshold_crossing_at_the_first_point_of_a_block(monkeypatch):
 def test_threshold_walk_eigensolves_only_the_unproved_points_up_to_the_crossing(monkeypatch, proved_slice, before_crossing):
     # n = 24 puts 56 points in a block, so the 257-point scan is five blocks. A stand-in
     # certificate proves every third slice of each block, starting at `proved_slice`.
-    # P crosses at scan point 171, the fourth point of the fourth block.
+    # P crosses at scan point 171, the fourth point of the fourth block. Be = beta e here, so
+    # deflation is off: the walk is eigensolved, as for a B without equal row sums.
+    monkeypatch.setattr(stability, "_deflate_e", lambda family: None)
     n = 24
     rng = np.random.default_rng([801, n])
     w = kernel_denoiser(rng.uniform(0.0, 1.0, size=n), bandwidth=0.5)
@@ -678,7 +699,7 @@ def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
     # Certifying the built M(t) still costs a build per point: 15 P_stack and 16 LU builds.
     family = imaging_family_64()
     for which, classification, most_eigensolves, most_builds in [
-        ("P", "stable_then_unstable", 4, 4),  # the crossing, the point before it, two secant points
+        ("P", "stable_then_unstable", 0, 0),  # Be = beta e: the crossing and its refinement read off 1 - t beta
         ("R", "stable_throughout_scan", 0, 0),  # eps0, where rho(R) is within 1e-4 of 1, certifies too
     ]:
         lu_calls = 0
@@ -705,10 +726,11 @@ def ci_imaging_pair():
     return w, gram(build_deblur(rng.uniform(0.05, 1.0, size=3), 64))
 
 
-@pytest.mark.parametrize("which, eigensolves", [("P", 4), ("R", 0)])
+@pytest.mark.parametrize("which, eigensolves", [("P", 0), ("R", 0)])
 def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, eigensolves):
     # eps0, where rho is 1 - O(1e-4), certifies only past k = 64: before that, P took
-    # 5 eigensolves and builds and R 1 of each.
+    # 5 eigensolves and builds and R 1 of each. Be = beta e: P's crossing and its refinement
+    # read off 1 - t beta and the deflated rest of P, where P took 4 before.
     family = make_family(*ci_imaging_pair())
     budget_builders(monkeypatch, eigensolves)  # one build per eigensolved point
     report, calls, _ = recorded_threshold(monkeypatch, family, which, scan_max=3.0, grid_step=0.1875)
@@ -718,24 +740,71 @@ def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, 
 
 @pytest.mark.parametrize("case", ["b_not_exactly_symmetric", "eigh_fails"])
 def test_p_threshold_builds_only_the_points_it_eigensolves(monkeypatch, case):
-    # P is certified as W - t WB whatever B is, so the only P_stack builds are the 4 points
-    # that rho_on_grid eigensolves. When P went through B's eigenbasis, a B that is not exactly
-    # symmetric, or an eigh that fails, built each 8-point block for the certificate: 6 builds.
+    # P is certified as W - t WB whatever B is, so the only P_stack builds are the points
+    # that rho_on_grid eigensolves: 4, or none where Be = beta e. When P went through B's eigenbasis,
+    # a B that is not exactly symmetric, or an eigh that fails, built each 8-point block for the
+    # certificate: 6 builds.
     w, b = ci_imaging_pair()
     if case == "b_not_exactly_symmetric":
         b = b.copy()
         b[0, 1] += 1e-3
     family = make_family(w, b)
+    eigensolves = 4 if case == "b_not_exactly_symmetric" else 0
     if case == "eigh_fails":
 
         def eigh_fails(b):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
-    budget_builders(monkeypatch, 4)
+    budget_builders(monkeypatch, eigensolves)
+    report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0, grid_step=0.1875)
+    assert report.classification == "stable_then_unstable"
+    assert len(calls) == eigensolves
+
+
+# -- P's e-eigenvalue where Be = beta e ------------------------------------------
+
+
+def test_p_threshold_of_a_non_symmetric_b_with_equal_row_sums_reads_off_its_e_eigenvalue(monkeypatch):
+    # Be = 0.7e. The deflated rest of P(t) is W's other eigenvalue -0.3 times
+    # 1 - 0.4t (0.4 is B's other eigenvalue), so P crosses through -1 at t = 2/0.7.
+    family = make_family(validate_stochastic(W_BLUR), np.array([[0.5, 0.2], [0.1, 0.6]]))
+    beta, w2, w2b2 = stability._deflate_e(family)
+    assert abs(beta - 0.7) <= 1e-15
+    assert np.allclose(w2, [[-0.3]], rtol=0, atol=1e-15) and np.allclose(w2b2, [[-0.12]], rtol=0, atol=1e-15)
+    report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=4.0)
+    assert calls == []
+    assert report.classification == "stable_then_unstable"
+    assert abs(report.T_star - 2.0 / 0.7) <= report.bisect_tol
+    assert_certificate_changes_no_report(monkeypatch, family, 4.0)
+
+
+@pytest.mark.parametrize("case", ["b01_plus_1e-3", "row_sum_plus_1e-9"])
+def test_p_threshold_where_row_sums_differ_is_eigensolved_as_before(monkeypatch, case):
+    # CI's non-symmetric n = 64 pair, and a symmetric B whose first row sum is off by 1e-9:
+    # no deflation, so the walk is the parent's and eigensolves the crossing, the point
+    # before it and two secant points.
+    w, b = ci_imaging_pair()
+    b = b.copy()
+    if case == "b01_plus_1e-3":
+        b[0, 1] += 1e-3
+    else:
+        b[0, 0] += 1e-9
+    family = make_family(w, b)
+    assert stability._deflate_e(family) is None
     report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0, grid_step=0.1875)
     assert report.classification == "stable_then_unstable"
     assert len(calls) == 4
+
+
+def test_p_threshold_of_remark_1_3_stays_unstable_from_start(monkeypatch):
+    # Be = e, but W is the swap, so the deflated rest of P(t) is -(1 + t): it never certifies,
+    # and eps0 is eigensolved.
+    family = example_family("remark_1_3_P")
+    assert stability._deflate_e(family) is not None
+    report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0)
+    assert report.classification == "unstable_from_start"
+    assert len(calls) == 1 and calls[0][1] > 1.0
 
 
 def same_spectrum_at(family, which, t):
@@ -903,10 +972,15 @@ def test_threshold_eigensolves_only_inside_rho_on_grid(monkeypatch, which, b):
     monkeypatch.setattr(stability, "rho_on_grid", grid)
     monkeypatch.setattr(stability, "rho_stack", stack)
     # Every case crosses before 20 (R of the non-symmetric B near t = 17.9), so the
-    # crossing and its refinement are eigensolved even where each scan point certifies.
-    report = stability_threshold(make_family(validate_stochastic(W_BLUR), b), which, scan_max=20.0, grid_step=0.1875)
+    # crossing and its refinement are eigensolved even where each scan point certifies,
+    # except for P of the symmetric B, whose Be = e puts its crossing on 1 - t.
+    family = make_family(validate_stochastic(W_BLUR), b)
+    report = stability_threshold(family, which, scan_max=20.0, grid_step=0.1875)
     assert report.classification == "stable_then_unstable"
-    assert eigensolves >= 1
+    if which == "P" and stability._deflate_e(family) is not None:
+        assert eigensolves == 0
+    else:
+        assert eigensolves >= 1
 
 
 def test_reference_thresholds_for_r():
