@@ -38,14 +38,13 @@ from .operators import (
     build_superres,
     conjecture_hypotheses,
     ConjectureHypotheses,
-    P_stack,
     R_stack,
     gram,
     kernel_denoiser,
     make_family,
     predicted_slope,
 )
-from .spectral import _PIVOT_RTOL, _certified_powers, rho_stack
+from .spectral import _certified_powers, rho_stack
 
 __all__ = [
     "StabilityProfile",
@@ -91,19 +90,25 @@ def _check_which(which: str) -> None:
 
 
 def _same_spectrum(family: OperatorFamily, which: str):
-    """ts -> (m, ok), one slice per t: m[k] has the spectrum of P(t) or R(t) where ok[k]. For R,
-    ok is False at a singular shift, and m holds `operators.R_stack`'s placeholder there.
+    """ts -> (m, ok), one slice per t: m[k] has the spectrum of P(t) or R(t) where ok[k], and ok
+    is False only at a singular shift of R. Every rho that pnpstab measures is read off it.
 
-    P(t) = W (I - tB) = W - t WB is affine in t, so for P it is W - t WB, with WB formed once,
-    for any B. For R with B = Q diag(lam) Q^T exactly symmetric and W~ = Q^T W Q, it is
-    I - W~ + diag(1 / (1 + t lam)) (2 W~ - I) at each t where I + tB surely passes the pivot
-    test (every 1 + t lam >= 1/2, cond(I + tB) n^1.5 <= 1e10): no solve, no matmul. At every
-    other t it is R(t) as `R_stack` builds it.
+    P(t) = W (I - tB) = W - t WB is affine in t, so for P it is W - t WB for any B, with WB
+    formed once; the closure keeps it as `.wb`. For R with B = Q diag(lam) Q^T exactly
+    symmetric and W~ = Q^T W Q, it is I - W~ + diag(1 / (1 + t lam)) (2 W~ - I): no solve, no
+    matmul. Its shift is singular where some |1 + t lam_i| <= n eps (1 + t max|lam|), zero
+    within the rounding of lam, and m holds W~ there. For any other B, or if eigh fails, it is
+    R(t) as `operators.R_stack` builds it, with its pivot test and placeholder.
     """
     w, b = family.W.matrix, family.B
     if which == "P":
         wb = w @ b
-        return lambda ts: (w - ts[:, None, None] * wb, np.ones(len(ts), dtype=bool))
+
+        def affine(ts: np.ndarray):
+            return w - ts[:, None, None] * wb, np.ones(len(ts), dtype=bool)
+
+        affine.wb = wb
+        return affine
 
     built = partial(R_stack, w, b)  # ts -> (R(t) stack, ok)
     if not np.array_equal(b, b.T):
@@ -115,26 +120,21 @@ def _same_spectrum(family: OperatorFamily, which: str):
     w_tilde = q.T @ w @ q
     eye = np.eye(family.n)
     i_minus_w, two_w_minus_i = eye - w_tilde, 2.0 * w_tilde - eye
-    size_factor = family.n**1.5
+    rounding = family.n * np.finfo(float).eps
+    lam_max = np.abs(lam).max()
 
     def r_similar(ts: np.ndarray):
-        # shift holds the eigenvalues of A = I + tB, ascending for t > 0. With shift[0] > 0,
-        # U^-1 = A^-1 P^T L and |L_ij| <= 1 give |U pivots| >= shift[0] / n, and
-        # ||A||_inf <= n^0.5 shift[-1], so the guard keeps a factor 1e3 between every
-        # pivot and the _PIVOT_RTOL ||A||_inf pivot test.
-        # The unguarded slices divide by 1, so a zero shift raises no warning, and are then built.
         shift = 1.0 + ts[:, None] * lam
-        ok = (shift[:, 0] >= 0.5) & (shift[:, -1] * size_factor <= 1e-3 / _PIVOT_RTOL * shift[:, 0])
-        m = i_minus_w + two_w_minus_i / np.where(ok[:, None], shift, 1.0)[:, :, None]
-        if not ok.all():
-            m[~ok], ok[~ok] = built(ts[~ok])
-        return m, ok
+        ok = (np.abs(shift) > rounding * (1.0 + ts[:, None] * lam_max)).all(axis=1)
+        # A singular slice divides by 1, so it raises no warning.
+        return i_minus_w + two_w_minus_i / np.where(ok[:, None], shift, 1.0)[:, :, None], ok
 
     return r_similar
 
 
-def _deflate_e(family: OperatorFamily) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """(beta, W2, W2B2) when B's row sums equal one beta > 0 within rounding, else None.
+def _deflate_e(family: OperatorFamily, wb: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(beta, W2, W2B2) when B's row sums equal one beta > 0 within rounding, else None; wb is
+    the product WB of P's `_same_spectrum`.
 
     We = e and Be = beta e make e an eigenvector of P(t) = W (I - tB) with eigenvalue 1 - t beta.
     The Householder reflector H = I - 2vv^T / v^Tv, v = e_1 + e / sqrt(n), has first column
@@ -157,20 +157,19 @@ def _deflate_e(family: OperatorFamily) -> tuple[float, np.ndarray, np.ndarray] |
         m = m - np.outer(v2, v @ m)
         return (m - np.outer(m @ v, v2))[1:, 1:]
 
-    w = family.W.matrix
-    return beta, trailing_block(w), trailing_block(w @ b)
+    return beta, trailing_block(family.W.matrix), trailing_block(wb)
 
 
 def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     """rho(P(t)) or rho(R(t)) at every t of a 1-D grid.
 
-    Each value is bitwise the spectral radius that `spectral.rho` gives
-    for `P_of(family, t)` or `R_of(family, t)`, all of them slices of
-    `operators.P_stack`/`R_stack` and `spectral.rho_stack`. inf marks a
-    singular shift I + tB (R only) and NaN an eigensolver failure. The grid
-    is evaluated in blocks of at most `_BLOCK_ENTRIES` stacked entries,
-    with one stacked eigensolve per block; a slice at a singular shift is
-    not eigensolved.
+    The matrices are `_same_spectrum`'s, eigensolved by `spectral.rho_stack`,
+    so each value is bitwise its own one-point `rho_on_grid` value and within
+    1e-12 relative of `spectral.rho` of `P_of(family, t)` or `R_of(family, t)`.
+    inf marks a singular shift I + tB (R only) and NaN an eigensolver failure.
+    The grid is evaluated in blocks of at most `_BLOCK_ENTRIES` stacked
+    entries, with one stacked eigensolve per block; a slice at a singular
+    shift is not eigensolved.
     """
     _check_which(which)
     ts = np.asarray(ts, dtype=float)
@@ -178,15 +177,11 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
         raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
     if not np.isfinite(ts).all() or (which == "R" and (ts < 0.0).any()):
         raise ValueError("t must be finite, and nonnegative for R")
-    w, b = family.W.matrix, family.B
+    same_spectrum = _same_spectrum(family, which)
     radii = np.full(ts.size, np.inf)
     step = _block_points(family.n)
     for lo in range(0, ts.size, step):
-        block = ts[lo : lo + step]
-        if which == "P":
-            m, ok = P_stack(w, b, block), np.ones(block.size, dtype=bool)
-        else:
-            m, ok = R_stack(w, b, block)  # ok masks the t where I + tB passes the pivot test
+        m, ok = same_spectrum(ts[lo : lo + step])
         radii[lo : lo + step][ok] = rho_stack(m[ok])
     return radii
 
@@ -260,9 +255,10 @@ class ThresholdReport:
     floats; T_star is its midpoint. The classification is relative to the
     declared scan window: rho is not monotone in t, so T_star is the first
     crossing at the scanned resolution, not a global supremum. Every rho
-    is a `rho_on_grid` value; scan points that ||M^k||_F <= 1/2 proves
-    stable, certified a block of scan points at a time, cost no eigensolve
-    and change no field. For P where Be = beta e, the sign of rho - 1 may
+    is a one-point `rho_on_grid` value, eigensolved from the matrix that the
+    certificate squares; scan points that ||M^k||_F <= 1/2 proves stable,
+    certified a block of scan points at a time, cost no eigensolve and
+    change no field. For P where Be = beta e, the sign of rho - 1 may
     come from 1 - t beta and the deflated rest of P instead; the bracket
     holds the same sign change, so T_star moves by at most bisect_tol where
     rho - 1 changes sign once between the two scan points.
@@ -281,10 +277,11 @@ class ThresholdReport:
         return asdict(self)
 
 
-def _rho_at(family: OperatorFamily, which: str, t: float) -> float:
-    """rho(P(t)) or rho(R(t)) as a one-point `rho_on_grid` value (inf at a singular
-    shift); an eigensolver failure raises NoConvergenceError."""
-    r = float(rho_on_grid(family, which, [t])[0])
+def _rho_at(same_spectrum, t: float) -> float:
+    """rho at t from a `_same_spectrum` closure, bitwise the one-point `rho_on_grid` value
+    (inf at a singular shift); an eigensolver failure raises NoConvergenceError."""
+    m, ok = same_spectrum(np.array([t]))
+    r = float(rho_stack(m)[0]) if ok[0] else math.inf
     if math.isnan(r):
         raise NoConvergenceError(f"eigensolver failed at t = {t}")
     return r
@@ -309,17 +306,16 @@ def stability_threshold(
     `rho_on_grid`'s block size at a time, then walks its unproved points.
     One stacked squaring (`spectral._certified_powers`) per block finds some
     ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16; past 64 only while the powers
-    decay) of a matrix M with the spectrum of P(t) or R(t) (`_same_spectrum`);
-    that proves rho <= 2^(-1/k) < 1 - 1.06e-5 without an eigensolve, and
-    spares the point eps0, where rho is near 1 - eps0 pi^T B e. The points
+    decay) of a matrix M with the spectrum of P(t) or R(t), a slice of the
+    call's one `_same_spectrum` function (one WB for P, one eigh of an exactly
+    symmetric B for R); that proves rho <= 2^(-1/k) < 1 - 1.06e-5 without an
+    eigensolve, and spares the point eps0, where rho is near 1 - eps0 pi^T B e. The points
     it leaves are eigensolved in order, and nothing past the first crossing
     is eigensolved; the grid point before the crossing is eigensolved for
-    the secant if the walk has not done so. M = W - t WB is P(t) up to the
-    rounding of one product and R in B's eigenbasis is within O(n eps ||W||)
-    of a matrix exactly similar, as a built M is within the rounding of its
-    build, so an eigenvalue moves by about kappa(lambda) n eps.
-    The certified bound sits 1.06e-5 below 1, so every report is the one an
-    eigensolve at every scan point gives while kappa(lambda) n eps << 1e-5.
+    the secant if the walk has not done so. The eigensolve reads the same M,
+    within about kappa(lambda) n eps of each eigenvalue, and the certified
+    bound sits 1.06e-5 below 1, so every report is the one an eigensolve at
+    every scan point gives while kappa(lambda) n eps << 1e-5.
 
     For P where B's row sums equal one beta > 0 within rounding (`_deflate_e`),
     P(t) has the eigenvalue 1 - t beta on e, and the rest of its spectrum is
@@ -351,7 +347,8 @@ def stability_threshold(
             eps0=eps0,
         )
 
-    deflated = _deflate_e(family) if which == "P" else None
+    same_spectrum = _same_spectrum(family, which)
+    deflated = _deflate_e(family, same_spectrum.wb) if which == "P" else None
 
     def f(t: float) -> float:
         if deflated is not None:
@@ -359,9 +356,8 @@ def stability_threshold(
             e_radius = abs(1.0 - t * beta)  # of P(t)'s eigenvalue on e
             if e_radius >= 1.0 or _certified_powers((w2 - t * w2b2)[None])[0] > 0:
                 return e_radius - 1.0  # the sign of rho(P(t)) - 1
-        return _rho_at(family, which, t) - 1.0
+        return _rho_at(same_spectrum, t) - 1.0
 
-    same_spectrum = _same_spectrum(family, which)
     size = _block_points(family.n)
     edge = scan_max * (1.0 + 1e-12)
     # The next scan point, the last point of the blocks walked, and the last (t, f(t)) eigensolved.
@@ -485,7 +481,7 @@ def slope_check(family: OperatorFamily, which: str, h: float = 1e-5) -> SlopeChe
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    r = _rho_at(family, which, h)
+    r = _rho_at(_same_spectrum(family, which), h)
     if math.isinf(r):
         raise SingularShiftError(f"I + tB is numerically singular at t = {h}")
     fd = (r - 1.0) / h

@@ -51,17 +51,17 @@ def test_P_threshold_past_a_crossing_of_the_deflated_rest_is_eigensolved(monkeyp
     # is split off. Where (1 + 1/rho_2)/alpha comes first, the crossing is in the rest of
     # the spectrum: the walk cannot certify it and eigensolves up to it.
     eigensolved = []
-    real_grid = stability.rho_on_grid
+    real_rho_at = stability._rho_at
 
-    def recording(family, which, ts):
-        eigensolved.append(float(ts[0]))
-        return real_grid(family, which, ts)
+    def recording(same_spectrum, t):
+        eigensolved.append(t)
+        return real_rho_at(same_spectrum, t)
 
-    monkeypatch.setattr(stability, "rho_on_grid", recording)
+    monkeypatch.setattr(stability, "_rho_at", recording)
     crossings = 0
     for seed in SEEDS:
         family, alpha, beta, _, t = alpha_beta_case(seed)
-        assert stability._deflate_e(family) is not None, seed
+        assert stability._deflate_e(family, stability._same_spectrum(family, "P").wb) is not None, seed
         if t == 2.0 / (alpha + family.n * beta):
             continue
         crossings += 1

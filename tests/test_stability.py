@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,9 +87,12 @@ def interior_grid(family, points=256):
 
 
 def assert_bitwise_equal_to_per_point(family, ts):
+    """rho_on_grid is bitwise its own one-point values, and within 1e-12 relative of the
+    per-point reference, with inf at the same singular shifts."""
     for which in ("P", "R"):
         got = rho_on_grid(family, which, ts)
-        assert np.array_equal(got, per_point_rho(family, which, ts)), which
+        assert np.array_equal(got, [rho_on_grid(family, which, [t])[0] for t in ts]), which
+        np.testing.assert_allclose(got, per_point_rho(family, which, ts), rtol=1e-12, atol=0, err_msg=which)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -147,7 +151,7 @@ def test_rho_on_grid_rejects_bad_input():
 def test_rho_on_grid_falls_back_per_point_when_the_stacked_eigensolve_fails(monkeypatch):
     family = stability._imaging_instance(np.random.default_rng(2), 6)
     ts = interior_grid(family, 40)
-    want = {which: per_point_rho(family, which, ts) for which in ("P", "R")}
+    want = {which: rho_on_grid(family, which, ts) for which in ("P", "R")}
     real_eigvals = np.linalg.eigvals
 
     def stack_fails(a):
@@ -162,16 +166,9 @@ def test_rho_on_grid_falls_back_per_point_when_the_stacked_eigensolve_fails(monk
 
 def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch):
     family = blur_family()
-    real_eigvals = np.linalg.eigvals
-    at_one = [P_of(family, 1.0), R_of(family, 1.0)]
-
-    def fails_at_t_one(a):
-        if np.ndim(a) > 2 or any(np.array_equal(a, m) for m in at_one):
-            raise np.linalg.LinAlgError("no convergence")
-        return real_eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", fails_at_t_one)
-    prof = profile(family, 0.25, 2.5, 4)  # grid 0.25, 1.0, 1.75, 2.5
+    with monkeypatch.context() as m:
+        rho_stack_failing_at(m, [same_spectrum_at(family, which, 1.0) for which in ("P", "R")])
+        prof = profile(family, 0.25, 2.5, 4)  # grid 0.25, 1.0, 1.75, 2.5
     for radii in (prof.rho_P, prof.rho_R):
         assert math.isnan(radii[1])
         assert np.all(np.isfinite(radii[[0, 2, 3]]))
@@ -194,9 +191,13 @@ def test_eigensolver_failure_keeps_per_point_nan_and_raise_behaviour(monkeypatch
 # -- _first_unstable (fuzz and check) against the per-point path ---------------
 
 
-def first_unstable_reference(family, ts, limit):
+def one_point_rho(family, which, ts):
+    return np.array([rho_on_grid(family, which, [t])[0] for t in ts])
+
+
+def first_unstable_reference(family, ts, limit, radii_of=one_point_rho):
     """The per-point reference of _first_unstable: grid order, P before R at each t."""
-    radii = {which: per_point_rho(family, which, ts) for which in ("P", "R")}
+    radii = {which: radii_of(family, which, ts) for which in ("P", "R")}
     for k in range(ts.size):
         for which in ("P", "R"):
             if not radii[which][k] < limit:
@@ -224,20 +225,24 @@ def test_first_unstable_on_several_blocks_is_the_per_point_scan(n, seed, upper, 
     assert ts.size > 2 * block  # at least three blocks
     got = stability._first_unstable(family, ts, 1.0 - 1e-12)
     assert got == first_unstable_reference(family, ts, 1.0 - 1e-12)
+    # and P_of/R_of's radii cross at the same point
+    want = first_unstable_reference(family, ts, 1.0 - 1e-12, per_point_rho)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[::2] == want[::2] and got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
     assert (None if got is None else int(np.flatnonzero(ts == got[0])[0]) // block) == block_of_crossing
 
 
-def eigvals_failing_at(monkeypatch, matrices):
-    """np.linalg.eigvals that fails on every stack and on each of `matrices`, so
-    rho_stack retries slice by slice and gives NaN at those matrices only."""
-    real_eigvals = np.linalg.eigvals
+def rho_stack_failing_at(monkeypatch, matrices):
+    """stability.rho_stack giving NaN, as for an eigensolver failure, at each of `matrices` only."""
+    real = stability.rho_stack
 
-    def failing(a):
-        if np.ndim(a) > 2 or any(np.array_equal(a, m) for m in matrices):
-            raise np.linalg.LinAlgError("no convergence")
-        return real_eigvals(a)
+    def failing(stack):
+        radii = real(stack)
+        radii[[any(np.array_equal(m, bad) for bad in matrices) for m in stack]] = np.nan
+        return radii
 
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    monkeypatch.setattr(stability, "rho_stack", failing)
 
 
 def test_first_unstable_ignores_an_eigensolver_failure_past_the_crossing(monkeypatch):
@@ -245,7 +250,8 @@ def test_first_unstable_ignores_an_eigensolver_failure_past_the_crossing(monkeyp
     block = stability._block_points(16)
     want = stability._first_unstable(family, ts, 1.0 - 1e-12)
     assert want[0] < ts[block]  # the crossing is in the first block; the failures are in later ones
-    eigvals_failing_at(monkeypatch, [P_of(family, ts[block + 3]), R_of(family, ts[3 * block])])
+    failing = [same_spectrum_at(family, "P", ts[block + 3]), same_spectrum_at(family, "R", ts[3 * block])]
+    rho_stack_failing_at(monkeypatch, failing)
     assert math.isnan(rho_on_grid(family, "P", ts)[block + 3]) and math.isnan(rho_on_grid(family, "R", ts)[3 * block])
     assert stability._first_unstable(family, ts, 1.0 - 1e-12) == want
 
@@ -255,7 +261,7 @@ def test_first_unstable_raises_at_an_eigensolver_failure_before_the_crossing(mon
     block = stability._block_points(24)
     t = stability._first_unstable(family, ts, 1.0 - 1e-12)[0]
     assert t >= ts[3 * block]  # the crossing is in the fourth block; the failure is in the second
-    eigvals_failing_at(monkeypatch, [R_of(family, ts[block + 5])])
+    rho_stack_failing_at(monkeypatch, [same_spectrum_at(family, "R", ts[block + 5])])
     assert math.isnan(rho_on_grid(family, "R", ts)[block + 5])
     with pytest.raises(NoConvergenceError, match=re.escape(f"eigensolver failed at t = {ts[block + 5]}")):
         stability._first_unstable(family, ts, 1.0 - 1e-12)
@@ -318,23 +324,40 @@ def test_threshold_of_blur_profile_is_two():
     assert rho(P_of(family, lo)) < 1.0 <= rho(P_of(family, hi))
 
 
+def deflation(family):
+    """`_deflate_e` of a P threshold, from the product WB of its `_same_spectrum`."""
+    return stability._deflate_e(family, stability._same_spectrum(family, "P").wb)
+
+
+def wrap_same_spectrum(monkeypatch, wrap):
+    """Make stability._same_spectrum return wrap(closure) in place of each closure, with P's `.wb`."""
+    real = stability._same_spectrum
+
+    def same_spectrum(family, which):
+        build = real(family, which)
+        wrapped = wrap(build)
+        wrapped.__dict__.update(build.__dict__)
+        return wrapped
+
+    monkeypatch.setattr(stability, "_same_spectrum", same_spectrum)
+
+
 def budget_builders(monkeypatch, limit):
-    """Let stability build P(t) or R(t) stacks at most `limit` times in all;
-    the next build raises, so a scan or refinement that never stops fails fast."""
+    """Let stability call `_same_spectrum` closures, a block or one point at a time, at most
+    `limit` times in all; the next call raises, so a scan or refinement that never stops fails fast."""
     calls = 0
 
-    def budgeted(real):
-        def build(*args):
+    def budgeted(build):
+        def counted(ts):
             nonlocal calls
             calls += 1
             if calls > limit:
                 raise RuntimeError(f"more than {limit} operator builds")
-            return real(*args)
+            return build(ts)
 
-        return build
+        return counted
 
-    for name in ("P_stack", "R_stack"):
-        monkeypatch.setattr(stability, name, budgeted(getattr(stability, name)))
+    wrap_same_spectrum(monkeypatch, budgeted)
 
 
 @pytest.mark.parametrize(
@@ -354,21 +377,21 @@ def test_threshold_bisection_stops_at_adjacent_floats(monkeypatch, scale, scan_m
 
 
 def recorded_threshold(monkeypatch, family, which, **kwargs):
-    """stability_threshold with every (t, rho) it takes from rho_on_grid, in call
+    """stability_threshold with every (t, rho) it eigensolves (`_rho_at`), in call
     order, and the number of those points up to and including the first crossing.
 
     A singular shift of R is recorded as rho = inf; points that a power of
     the operator proved stable cost no eigensolve and are left out.
     """
     calls = []
-    real_grid = stability.rho_on_grid
+    real_rho_at = stability._rho_at
 
-    def recording(family, which, ts):  # the threshold evaluates one t at a time
-        radii = real_grid(family, which, ts)
-        calls.append((float(ts[0]), float(radii[0])))
-        return radii
+    def recording(same_spectrum, t):
+        r = real_rho_at(same_spectrum, t)
+        calls.append((t, r))
+        return r
 
-    monkeypatch.setattr(stability, "rho_on_grid", recording)
+    monkeypatch.setattr(stability, "_rho_at", recording)
     report = stability_threshold(family, which, **kwargs)
     scan_points = next((k + 1 for k, (_, r) in enumerate(calls) if not r < 1.0), len(calls))
     return report, calls, scan_points
@@ -552,10 +575,10 @@ def assert_certificate_changes_no_report(monkeypatch, family, scan_max, grid_ste
                 continue
             with monkeypatch.context() as m:
                 m.setattr(stability, "_certified_powers", lambda stack: np.zeros(len(stack), dtype=int))  # certify nothing
-                m.setattr(stability, "_deflate_e", lambda family: None)  # and deflate nothing
+                m.setattr(stability, "_deflate_e", lambda family, wb: None)  # and deflate nothing
                 want = stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step)
             got = stability_threshold(family, which, scan_max=scan_max, grid_step=grid_step)
-            if which == "R" or stability._deflate_e(family) is None:
+            if which == "R" or deflation(family) is None:
                 assert got == want
                 continue
             assert got.classification == want.classification
@@ -579,19 +602,18 @@ def test_certificate_changes_no_threshold_report_on_examples(monkeypatch, exampl
 
 def test_certificate_changes_no_threshold_report_on_indefinite_and_non_symmetric_b(monkeypatch):
     w = validate_stochastic(W_BLUR)
-    # 1 + t lam_min < 1/2 past t = 2: R scan points there take the built path.
+    # I + 4B is singular for the indefinite B; the non-symmetric B takes R_stack's built path.
     assert_certificate_changes_no_report(monkeypatch, make_family(w, np.diag([0.5, -0.25])), 8.0)
     assert_certificate_changes_no_report(monkeypatch, make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]])), 8.0)
 
 
 def test_certificate_changes_no_threshold_report_where_the_shift_fails_the_pivot_test(monkeypatch):
-    # I + tB = diag(1 + t, 1) fails the 1e-13 pivot test from t ~ 1e13, so R reports a
-    # singular shift there, although the similar matrix in B's eigenbasis certifies.
+    # I + tB = diag(1 + t, 1) fails R_of's 1e-13 pivot test from t ~ 1e13, but no shift
+    # 1 + t lam is zero within the rounding of lam: every scan point is R in B's eigenbasis,
+    # certified or eigensolved, and the scan reads no crossing.
     family = make_family(validate_stochastic(W_BLUR), np.diag([1.0, 0.0]))
     assert_certificate_changes_no_report(monkeypatch, family, 3e14, grid_steps=(None,))
-    report = stability_threshold(family, "R", scan_max=3e14)
-    assert report.classification == "stable_then_unstable"
-    assert 1e12 < report.T_star < 1e14
+    assert stability_threshold(family, "R", scan_max=3e14).classification == "stable_throughout_scan"
 
 
 def counted_certificates(monkeypatch):
@@ -623,7 +645,7 @@ def test_threshold_crossing_at_the_first_point_of_a_block(monkeypatch):
     # of the second block is the crossing, so the secant needs rho at a point of the
     # block before, which the scan never eigensolved.
     # Deflation is off, so the walk eigensolves where the scan left off.
-    monkeypatch.setattr(stability, "_deflate_e", lambda family: None)
+    monkeypatch.setattr(stability, "_deflate_e", lambda family, wb: None)
     family = blur_family()
     block = stability._block_points(family.n)
     eps0 = 1e-4
@@ -649,7 +671,7 @@ def test_threshold_walk_eigensolves_only_the_unproved_points_up_to_the_crossing(
     # certificate proves every third slice of each block, starting at `proved_slice`.
     # P crosses at scan point 171, the fourth point of the fourth block. Be = beta e here, so
     # deflation is off: the walk is eigensolved, as for a B without equal row sums.
-    monkeypatch.setattr(stability, "_deflate_e", lambda family: None)
+    monkeypatch.setattr(stability, "_deflate_e", lambda family, wb: None)
     n = 24
     rng = np.random.default_rng([801, n])
     w = kernel_denoiser(rng.uniform(0.0, 1.0, size=n), bandwidth=0.5)
@@ -696,27 +718,18 @@ def test_certificate_changes_no_threshold_report_on_an_imaging_family(monkeypatc
 
 def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
     # Without the certificate the scan eigensolves every point: 14 for P and 16 for R.
-    # Certifying the built M(t) still costs a build per point: 15 P_stack and 16 LU builds.
+    # Certifying the built M(t) cost a build per point: 15 P_stack and 16 LU builds.
     family = imaging_family_64()
-    for which, classification, most_eigensolves, most_builds in [
-        ("P", "stable_then_unstable", 0, 0),  # Be = beta e: the crossing and its refinement read off 1 - t beta
-        ("R", "stable_throughout_scan", 0, 0),  # eps0, where rho(R) is within 1e-4 of 1, certifies too
+    for which, classification in [
+        ("P", "stable_then_unstable"),  # Be = beta e: the crossing and its refinement read off 1 - t beta
+        ("R", "stable_throughout_scan"),  # eps0, where rho(R) is within 1e-4 of 1, certifies too
     ]:
-        lu_calls = 0
-        real_lu = operators.solve_stack
-
-        def counting_lu(a, b):
-            nonlocal lu_calls
-            lu_calls += 1
-            return real_lu(a, b)
-
         with monkeypatch.context() as m:
-            m.setattr(operators, "solve_stack", counting_lu)
-            budget_builders(m, most_builds)
+            m.setattr(operators, "solve_stack", never_called("solve_stack"))
+            budget_builders(m, 2)  # the two 8-point blocks of the scan
             report, calls, _ = recorded_threshold(m, family, which, scan_max=3.0, grid_step=0.1875)
         assert report.classification == classification
-        assert len(calls) <= most_eigensolves
-        assert lu_calls <= (most_builds if which == "R" else 0)
+        assert calls == []
 
 
 def ci_imaging_pair():
@@ -732,7 +745,7 @@ def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, 
     # 5 eigensolves and builds and R 1 of each. Be = beta e: P's crossing and its refinement
     # read off 1 - t beta and the deflated rest of P, where P took 4 before.
     family = make_family(*ci_imaging_pair())
-    budget_builders(monkeypatch, eigensolves)  # one build per eigensolved point
+    budget_builders(monkeypatch, 2 + eigensolves)  # the two 8-point blocks, and one build per eigensolved point
     report, calls, _ = recorded_threshold(monkeypatch, family, which, scan_max=3.0, grid_step=0.1875)
     assert report.classification == ("stable_then_unstable" if which == "P" else "stable_throughout_scan")
     assert len(calls) == eigensolves and all(math.isfinite(r) for _, r in calls)
@@ -740,10 +753,10 @@ def test_threshold_eigensolve_budget_on_the_ci_imaging_pair(monkeypatch, which, 
 
 @pytest.mark.parametrize("case", ["b_not_exactly_symmetric", "eigh_fails"])
 def test_p_threshold_builds_only_the_points_it_eigensolves(monkeypatch, case):
-    # P is certified as W - t WB whatever B is, so the only P_stack builds are the points
-    # that rho_on_grid eigensolves: 4, or none where Be = beta e. When P went through B's eigenbasis,
-    # a B that is not exactly symmetric, or an eigh that fails, built each 8-point block for the
-    # certificate: 6 builds.
+    # P is W - t WB whatever B is, so besides the two 8-point scan blocks, the only builds
+    # are the points that the walk eigensolves: 4, or none where Be = beta e. When P went
+    # through B's eigenbasis, a B that is not exactly symmetric, or an eigh that fails, built
+    # each 8-point block for the certificate: 6 builds.
     w, b = ci_imaging_pair()
     if case == "b_not_exactly_symmetric":
         b = b.copy()
@@ -756,7 +769,7 @@ def test_p_threshold_builds_only_the_points_it_eigensolves(monkeypatch, case):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
-    budget_builders(monkeypatch, eigensolves)
+    budget_builders(monkeypatch, 2 + eigensolves)
     report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0, grid_step=0.1875)
     assert report.classification == "stable_then_unstable"
     assert len(calls) == eigensolves
@@ -769,7 +782,7 @@ def test_p_threshold_of_a_non_symmetric_b_with_equal_row_sums_reads_off_its_e_ei
     # Be = 0.7e. The deflated rest of P(t) is W's other eigenvalue -0.3 times
     # 1 - 0.4t (0.4 is B's other eigenvalue), so P crosses through -1 at t = 2/0.7.
     family = make_family(validate_stochastic(W_BLUR), np.array([[0.5, 0.2], [0.1, 0.6]]))
-    beta, w2, w2b2 = stability._deflate_e(family)
+    beta, w2, w2b2 = deflation(family)
     assert abs(beta - 0.7) <= 1e-15
     assert np.allclose(w2, [[-0.3]], rtol=0, atol=1e-15) and np.allclose(w2b2, [[-0.12]], rtol=0, atol=1e-15)
     report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=4.0)
@@ -791,7 +804,7 @@ def test_p_threshold_where_row_sums_differ_is_eigensolved_as_before(monkeypatch,
     else:
         b[0, 0] += 1e-9
     family = make_family(w, b)
-    assert stability._deflate_e(family) is None
+    assert deflation(family) is None
     report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0, grid_step=0.1875)
     assert report.classification == "stable_then_unstable"
     assert len(calls) == 4
@@ -801,7 +814,7 @@ def test_p_threshold_of_remark_1_3_stays_unstable_from_start(monkeypatch):
     # Be = e, but W is the swap, so the deflated rest of P(t) is -(1 + t): it never certifies,
     # and eps0 is eigensolved.
     family = example_family("remark_1_3_P")
-    assert stability._deflate_e(family) is not None
+    assert deflation(family) is not None
     report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0)
     assert report.classification == "unstable_from_start"
     assert len(calls) == 1 and calls[0][1] > 1.0
@@ -814,10 +827,11 @@ def same_spectrum_at(family, which, t):
 
 
 def test_eigenbasis_operator_is_similar_and_guarded():
-    # P is W - t WB for every B: symmetric, indefinite or not symmetric.
-    # For R, past each guard and for a B that is not exactly symmetric, the matrix is R(t) as built.
+    # P is W - t WB for every B: symmetric, indefinite or not symmetric. R of an exactly
+    # symmetric B is the similar matrix in B's eigenbasis at every t, guarded only where a
+    # shift 1 + t lam is zero within the rounding of lam; R of any other B is R(t) as built.
     w = validate_stochastic(W_BLUR)
-    indefinite = make_family(w, np.diag([0.5, -0.25]))  # 1 + t lam_min >= 1/2 up to t = 2
+    indefinite = make_family(w, np.diag([0.5, -0.25]))  # I + 4B is singular
     non_symmetric = make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]]))
     for family in (blur_family(), indefinite, non_symmetric):
         wb = family.W.matrix @ family.B
@@ -827,17 +841,18 @@ def test_eigenbasis_operator_is_similar_and_guarded():
             assert np.allclose(p, P_of(family, t), rtol=0, atol=1e-14)
             want = np.sort_complex(np.linalg.eigvals(P_of(family, t)))
             assert np.allclose(np.sort_complex(np.linalg.eigvals(p)), want, rtol=0, atol=1e-12)
-    for t in (0.5, 1.9):
+    for t in (0.5, 1.9, 2.1, 3.9, 4.1, 17.9):
         similar = same_spectrum_at(indefinite, "R", t)
         want = np.sort_complex(np.linalg.eigvals(R_of(indefinite, t)))
         assert not np.array_equal(similar, R_of(indefinite, t))  # the eigenbasis form
         assert np.allclose(np.sort_complex(np.linalg.eigvals(similar)), want, rtol=0, atol=1e-12)
-    assert not np.array_equal(same_spectrum_at(indefinite, "R", 2.0), R_of(indefinite, 2.0))
-    assert np.array_equal(same_spectrum_at(indefinite, "R", 2.1), R_of(indefinite, 2.1))
+    assert same_spectrum_at(indefinite, "R", 4.0) is None
+    with pytest.raises(SingularShiftError):
+        R_of(indefinite, 4.0)
     wide_family = make_family(w, np.diag([1.0, 0.0]))
-    assert not np.array_equal(same_spectrum_at(wide_family, "R", 1e9), R_of(wide_family, 1e9))
-    assert np.array_equal(same_spectrum_at(wide_family, "R", 1e11), R_of(wide_family, 1e11))  # cond(I + tB) n^1.5 past 1e10
-    assert same_spectrum_at(wide_family, "R", 1e13) is None  # I + tB fails the pivot test: a singular shift, as for R_of
+    for t in (1e9, 1e11):
+        assert not np.array_equal(same_spectrum_at(wide_family, "R", t), R_of(wide_family, t))  # the eigenbasis form
+    assert same_spectrum_at(wide_family, "R", 1e13) is not None  # no zero shift, though I + tB fails R_of's pivot test
     with pytest.raises(SingularShiftError):
         R_of(wide_family, 1e13)
     assert np.array_equal(same_spectrum_at(non_symmetric, "R", 0.5), R_of(non_symmetric, 0.5))
@@ -846,24 +861,41 @@ def test_eigenbasis_operator_is_similar_and_guarded():
 @pytest.mark.parametrize(
     "b, ts",
     [
-        (np.diag([0.5, -0.25]), [0.5, 2.1, 1.9, 3.0, 2.0]),  # the guard 1 + t lam_min >= 1/2, both ways
-        (np.diag([1.0, 0.0]), [1e9, 1e13, 1e11, 1.0, 1e13]),  # the cond(I + tB) guard and singular shifts
+        (np.diag([0.5, -0.25]), [0.5, 4.0, 1.9, 3.0, 2.0, 4.0]),  # I + 4B is singular
+        (np.diag([1.0, 0.0]), [1e9, 1e13, 1e11, 1.0, 3e14]),  # past R_of's pivot test from 1e13
         (np.array([[0.5, 0.2], [0.1, 0.3]]), [0.5, 1.0, 17.9]),  # not symmetric: every point built
     ],
     ids=["indefinite", "wide", "non_symmetric"],
 )
 @pytest.mark.parametrize("which", ["P", "R"])
 def test_same_spectrum_of_a_block_is_its_points_one_by_one(which, b, ts):
-    # The guard is evaluated per t, so a block mixes the eigenbasis form, built points
-    # and singular shifts; each slice is bitwise its one-point matrix, and a singular
-    # shift holds R_stack's finite placeholder I - W.
+    # Each slice and its singular-shift mask are bitwise the one-point case, whatever the
+    # other points of the block are.
     family = make_family(validate_stochastic(W_BLUR), b)
-    m, ok = stability._same_spectrum(family, which)(np.array(ts))
-    points = [same_spectrum_at(family, which, t) for t in ts]
-    assert list(ok) == [p is not None for p in points]
+    build = stability._same_spectrum(family, which)
+    m, ok = build(np.array(ts))
     assert m.shape == (len(ts), 2, 2)
-    placeholder = np.eye(2) - family.W.matrix
-    assert all(np.array_equal(a, placeholder if p is None else p) for a, p in zip(m, points))
+    for k, t in enumerate(ts):
+        one, one_ok = build(np.array([t]))
+        assert np.array_equal(m[k], one[0]) and ok[k] == one_ok[0], t
+    assert [t for t, good in zip(ts, ok) if not good] == ([4.0, 4.0] if which == "R" and b[1, 1] < 0 else [])
+
+
+def test_singular_shift_rule_of_a_symmetric_b():
+    # A shift 1 + t lam is singular only where it is zero within n eps (1 + t max|lam|),
+    # the rounding of lam: at t = 4 for diag(0.5, -0.25), and nowhere up to 3e14 for diag(1, 0),
+    # whose I + tB fails R_of's pivot test from t = 1e13.
+    w = validate_stochastic(W_WIDE)
+    indefinite = make_family(w, np.diag([0.5, -0.25]))
+    wide = make_family(w, np.diag([1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radii = rho_on_grid(indefinite, "R", np.linspace(0.0, 8.0, 33))
+        near = rho_on_grid(indefinite, "R", [3.9, 4.1])
+        wide_radii = rho_on_grid(wide, "R", [1e13, 1e14, 3e14])
+    assert np.flatnonzero(np.isinf(radii)).tolist() == [16] and np.isfinite(np.delete(radii, 16)).all()
+    np.testing.assert_allclose(near, [rho(R_of(indefinite, t)) for t in (3.9, 4.1)], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(wide_radii, 0.83666, rtol=0, atol=1e-5)
 
 
 def test_a_singular_shift_is_neither_eigensolved_nor_squared(monkeypatch):
@@ -902,18 +934,20 @@ def test_R_of_the_wide_family_is_stable_past_the_pivot_test():
         R_of(family, 1e13)
 
 
-@pytest.mark.xfail(strict=True, reason="the relative pivot test of I + tB, not rho, makes the crossing at t = 1e13")
 def test_R_threshold_of_the_wide_family_reports_no_crossing_that_the_pivot_test_makes():
     family = make_family(validate_stochastic(W_WIDE), np.diag([1.0, 0.0]))
     report = stability_threshold(family, "R", scan_max=3e14)
     assert report.classification == "stable_throughout_scan", report
 
 
-@pytest.mark.xfail(strict=True, reason="rounding noise in rho(R(t)) = 1 reads as a crossing near t = 0.0029")
 def test_R_threshold_of_remark_1_3_reports_no_crossing_where_rho_is_one():
     # W is the 2x2 swap and B = E/2: rho(R(t)) = 1 at every t, so no scan point is unstable.
-    report = stability_threshold(example_family("remark_1_3_R"), "R", scan_max=3.0)
+    # Rounding still decides this verdict: R in B's eigenbasis reads rho = 1 - 2^-52 at every t,
+    # where the built R(t) read 1 +- 1 ulp.
+    family = example_family("remark_1_3_R")
+    report = stability_threshold(family, "R", scan_max=3.0)
     assert report.classification != "stable_then_unstable", report
+    assert np.abs(rho_on_grid(family, "R", np.linspace(1e-4, 3.0, 64)) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def test_threshold_falls_back_to_built_operators_when_eigh_fails(monkeypatch):
@@ -926,23 +960,51 @@ def test_threshold_falls_back_to_built_operators_when_eigh_fails(monkeypatch):
     assert [stability_threshold(blur_family(), which, scan_max=3.0) for which in ("P", "R")] == want
 
 
-def test_threshold_scan_past_the_eigenbasis_guard_builds_each_point(monkeypatch):
-    family = make_family(validate_stochastic(W_BLUR), np.diag([0.5, -0.25]))
-    built = []
-    real_build = stability.R_stack
+def never_called(name):
+    def fails(*args):
+        raise AssertionError(f"{name} called")
 
-    def recording(w, b, ts):
-        built.extend(map(float, ts))
-        return real_build(w, b, ts)
+    return fails
 
-    monkeypatch.setattr(stability, "R_stack", recording)
-    report = stability_threshold(family, "R", scan_max=8.0, grid_step=0.1875)
-    scan, t = [], 1e-4
-    while t < report.bracket[0]:
-        scan.append(t)
-        t += 0.1875
-    assert {t for t in scan if t > 2.0} <= set(built)
-    assert [t for t in built if t <= 2.0] == [1e-4]  # only eps0, where rho(R) is near 1, is not certified
+
+def test_r_threshold_of_a_symmetric_b_runs_one_eigh_and_builds_no_point(monkeypatch):
+    # Every scan, walk and secant point of R is a slice of one eigenbasis form: one eigh of B,
+    # no LU build. Before, the walk rebuilt each point it eigensolved through R_stack.
+    family = make_family(validate_stochastic(W_BLUR), np.diag([3.0, 0.5]))
+    eighs = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda b: eighs.append(b) or real_eigh(b))
+    monkeypatch.setattr(stability, "R_stack", never_called("R_stack"))
+    report, calls, _ = recorded_threshold(monkeypatch, family, "R", scan_max=20.0)
+    assert report.classification == "stable_then_unstable" and len(calls) >= 3
+    assert len(eighs) == 1
+
+
+class CountedProducts(np.ndarray):
+    """A B that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountedProducts.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        CountedProducts.products += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+@pytest.mark.parametrize("deflated", [True, False], ids=["be_equals_beta_e", "unequal_row_sums"])
+def test_p_threshold_forms_wb_once(monkeypatch, deflated):
+    # The scan, the walk, the secant and the deflation of P's e-eigenvalue all read the one WB
+    # of `_same_spectrum`; the deflation formed it a second time before.
+    family = blur_family() if deflated else make_family(validate_stochastic(W_BLUR), np.diag([3.0, 0.5]))
+    assert (deflation(family) is not None) == deflated
+    family = dataclasses.replace(family, B=family.B.view(CountedProducts))
+    CountedProducts.products = 0
+    report, calls, _ = recorded_threshold(monkeypatch, family, "P", scan_max=3.0)
+    assert report.classification == "stable_then_unstable" and (calls == []) == deflated
+    assert CountedProducts.products == 1
 
 
 @pytest.mark.parametrize("which", ["P", "R"])
@@ -951,25 +1013,27 @@ def test_threshold_scan_past_the_eigenbasis_guard_builds_each_point(monkeypatch)
     [H_BLUR.T @ H_BLUR, np.diag([0.5, -0.25]), np.array([[0.5, 0.2], [0.1, 0.3]])],
     ids=["symmetric", "indefinite", "non_symmetric"],
 )
-def test_threshold_eigensolves_only_inside_rho_on_grid(monkeypatch, which, b):
-    depth, eigensolves = 0, 0
-    real_grid, real_stack = stability.rho_on_grid, stability.rho_stack
+def test_threshold_eigensolves_only_slices_of_its_same_spectrum(monkeypatch, which, b):
+    # The threshold makes one `_same_spectrum` closure, and every matrix it eigensolves is a
+    # slice that closure gave.
+    made, eigensolved = [], []
+    real_stack = stability.rho_stack
 
-    def grid(*args):
-        nonlocal depth
-        depth += 1
-        try:
-            return real_grid(*args)
-        finally:
-            depth -= 1
+    def recorded(build):
+        made.append([])
+
+        def recording(ts):
+            m, ok = build(ts)
+            made[-1].extend(m[ok])
+            return m, ok
+
+        return recording
 
     def stack(m):
-        nonlocal eigensolves
-        assert depth == 1, "rho_stack called outside rho_on_grid"
-        eigensolves += 1
+        eigensolved.extend(m)
         return real_stack(m)
 
-    monkeypatch.setattr(stability, "rho_on_grid", grid)
+    wrap_same_spectrum(monkeypatch, recorded)
     monkeypatch.setattr(stability, "rho_stack", stack)
     # Every case crosses before 20 (R of the non-symmetric B near t = 17.9), so the
     # crossing and its refinement are eigensolved even where each scan point certifies,
@@ -977,10 +1041,12 @@ def test_threshold_eigensolves_only_inside_rho_on_grid(monkeypatch, which, b):
     family = make_family(validate_stochastic(W_BLUR), b)
     report = stability_threshold(family, which, scan_max=20.0, grid_step=0.1875)
     assert report.classification == "stable_then_unstable"
-    if which == "P" and stability._deflate_e(family) is not None:
-        assert eigensolves == 0
+    assert len(made) == 1
+    assert all(any(np.array_equal(m, s) for s in made[0]) for m in eigensolved)
+    if which == "P" and deflation(family) is not None:
+        assert eigensolved == []
     else:
-        assert eigensolves >= 1
+        assert len(eigensolved) >= 1
 
 
 def test_reference_thresholds_for_r():
