@@ -34,11 +34,7 @@ from .operators import (
     predicted_slope,
 )
 from .pnp import InverseProblem, IterationTrace, pgd_pnp_run
-from .spectral import (
-    eigenvalues,
-    rho,
-    solve_linear,
-)
+from .spectral import eigenvalues, rho
 from .stability import (
     ConjectureTrialResult,
     StabilityProfile,

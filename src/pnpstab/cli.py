@@ -34,6 +34,13 @@ from .stability import (
 __all__ = ["main", "entry"]
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pnpstab",
@@ -63,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=THEOREMS, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--n", type=int, default=8, help="maximum dimension (instances draw n in [2, N])")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--grid-steps", type=int, default=64)
     p.add_argument("--out", required=True, help="output JSON-lines path")
 
@@ -72,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--generator", choices=GENERATORS, default="imaging")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output JSON-lines path")
 
@@ -80,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("inpainting", "deblur", "superres"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", required=True, help="output trace CSV path")

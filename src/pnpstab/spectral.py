@@ -1,9 +1,10 @@
 """Dense eigensolution, spectral radius, and pivot-checked linear solves.
 
-Backed by LAPACK via numpy/scipy. `rho` and `solve_linear` are the
-one-matrix cases of `rho_stack` and `solve_stack`. Complex arithmetic is
-confined to this module; every public matrix elsewhere in the package is
-real.
+Backed by LAPACK via numpy/scipy. `rho` is the one-matrix case of
+`rho_stack`; a single solve is the one-slice case of `solve_stack`, whose
+pivot mask says whether the matrix is numerically singular. Complex
+arithmetic is confined to this module; every public matrix elsewhere in
+the package is real.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergenceError, SingularMatrixError
+from .errors import NoConvergenceError
 from .matrices import as_square_matrix
 
 __all__ = [
     "eigenvalues",
     "rho",
     "rho_stack",
-    "solve_linear",
     "solve_stack",
 ]
 
@@ -110,31 +110,13 @@ def _certified_powers(stack: np.ndarray) -> np.ndarray:
     return powers
 
 
-def solve_linear(a, b) -> np.ndarray:
-    """Solve Ax = b (vector or matrix right-hand side) by pivoted LU: the
-    one-matrix case of `solve_stack`.
-
-    Raises SingularMatrixError naming the first pivot that `solve_stack`
-    masks as small: at or below 1e-13 * ||A||_inf.
-    """
-    a = as_square_matrix(a)
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {a.shape[0]}")
-    x, small = solve_stack(a[None], rhs)
-    bad = np.flatnonzero(small[0])
-    if bad.size:
-        raise SingularMatrixError(f"matrix numerically singular at pivot {int(bad[0])}")
-    return x[0]
-
-
 def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A_k X = b for every matrix A_k of an (m, n, n) stack, one LAPACK
     gesv call per slice.
 
     Returns `(x, small)`, one slice per A_k. `small` is the (m, n) mask of the
     U pivots at or below 1e-13 * ||A_k||_inf; a zero pivot, where gesv skips
-    the solve, is in it. `x[k]` is bitwise `solve_linear(a[k], b)` where
+    the solve, is in it. `x[k]` is bitwise the solve of `a[k]` alone where
     `small[k]` has no True, and 0 elsewhere.
     """
     scale = np.linalg.norm(a, np.inf, axis=(-2, -1))

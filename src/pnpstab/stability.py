@@ -84,11 +84,6 @@ def _block_points(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // (n * n))
 
 
-def _check_which(which: str) -> None:
-    if which not in ("P", "R"):
-        raise ValueError(f"which must be 'P' or 'R', got {which!r}")
-
-
 def _same_spectrum(family: OperatorFamily, which: str):
     """ts -> (m, ok), one slice per t: m[k] has the spectrum of P(t) or R(t) where ok[k], and ok
     is False only at a singular shift of R. Every rho that pnpstab measures is read off it.
@@ -98,8 +93,11 @@ def _same_spectrum(family: OperatorFamily, which: str):
     symmetric and W~ = Q^T W Q, it is I - W~ + diag(1 / (1 + t lam)) (2 W~ - I): no solve, no
     matmul. Its shift is singular where some |1 + t lam_i| <= n eps (1 + t max|lam|), zero
     within the rounding of lam, and m holds W~ there. For any other B, or if eigh fails, it is
-    R(t) as `operators.R_stack` builds it, with its pivot test and placeholder.
+    R(t) as `operators.R_stack` builds it, with its pivot test and placeholder. Any which other
+    than "P" or "R" raises ValueError before any product or eigh.
     """
+    if which not in ("P", "R"):
+        raise ValueError(f"which must be 'P' or 'R', got {which!r}")
     w, b = family.W.matrix, family.B
     if which == "P":
         wb = w @ b
@@ -171,7 +169,6 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     entries, with one stacked eigensolve per block; a slice at a singular
     shift is not eigensolved.
     """
-    _check_which(which)
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
@@ -327,7 +324,6 @@ def stability_threshold(
     elsewhere: where rho - 1 changes sign once between the two scan points,
     T_star moves by at most bisect_tol.
     """
-    _check_which(which)
     if grid_step is None:
         grid_step = scan_max / 2048.0
     if not (0.0 < eps0 < grid_step < scan_max < math.inf and 0.0 < bisect_tol < math.inf):
@@ -479,8 +475,8 @@ def slope_check(family: OperatorFamily, which: str, h: float = 1e-5) -> SlopeChe
     Uses rho(0) = 1 exactly (W is stochastic). h should stay at or below
     1e-4 so t = h remains inside the analyticity neighborhood.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     r = _rho_at(_same_spectrum(family, which), h)
     if math.isinf(r):
         raise SingularShiftError(f"I + tB is numerically singular at t = {h}")

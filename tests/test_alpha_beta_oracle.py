@@ -1,4 +1,4 @@
-"""Exact P thresholds of the alpha*I + beta*E class, for any stochastic W.
+"""Exact P and R thresholds of the alpha*I + beta*E class, for any stochastic W.
 
 With B = alpha I + beta E, span(e) is invariant under P(t) = W (I - tB), and
 P(t) acts on it as 1 - t(alpha + n beta). On the rest of the spectrum B acts
@@ -9,7 +9,8 @@ max(|1 - t(alpha + n beta)|, |1 - t alpha| rho_2), with rho_2 the largest
 T = min(2 / (alpha + n beta), (1 + 1/rho_2) / alpha), the second term only
 when alpha > 0. The oracle calls no eigensolver on P.
 
-R(t) has a closed form as well; see test_R_radius_matches_the_alpha_beta_oracle.
+R(t) has a closed form as well; see test_R_radius_matches_the_alpha_beta_oracle, and
+R_crossing for its first crossing.
 """
 
 import numpy as np
@@ -85,3 +86,42 @@ def test_R_radius_matches_the_alpha_beta_oracle():
         rest = np.abs(1.0 - lam + (2.0 * lam - 1.0) * shrink[:, None]).max(axis=1)
         want = np.maximum(1.0 / (1.0 + ts * (alpha + family.n * beta)), rest)
         np.testing.assert_allclose(rho_on_grid(family, "R", ts), want, rtol=0, atol=1e-13, err_msg=f"seed {seed}")
+
+
+def R_crossing(family, alpha):
+    """R's first crossing by the oracle, or None where R stays stable for every t > 0.
+
+    With s = 1 / (1 + t alpha), which falls from 1 to 0 as t grows, the eigenvalue of R(t)
+    for lambda != 1 is mu(s) = 1 - lambda + (2 lambda - 1) s, and |mu(s)| = 1 is the
+    quadratic |2 lambda - 1|^2 s^2 + 2 Re(conj(1 - lambda)(2 lambda - 1)) s + |1 - lambda|^2 - 1 = 0.
+    The first crossing is the largest root s in (0, 1), at t = (1/s - 1) / alpha. e's
+    eigenvalue 1 / (1 + t(alpha + n beta)) never reaches 1, and with alpha = 0 mu is lambda
+    at every t, so then there is none.
+    """
+    if alpha == 0.0:
+        return None
+    lam = np.linalg.eigvals(family.W.matrix)
+    roots = []
+    for lam_i in np.delete(lam, np.argmin(np.abs(lam - 1.0))):
+        a, c = 2.0 * lam_i - 1.0, 1.0 - lam_i
+        s = np.roots([abs(a) ** 2, 2.0 * (np.conj(c) * a).real, abs(c) ** 2 - 1.0])
+        roots.extend(s.real[(np.abs(s.imag) == 0.0) & (s.real > 0.0) & (s.real < 1.0)])
+    return (1.0 / max(roots) - 1.0) / alpha if roots else None
+
+
+def test_R_threshold_matches_the_alpha_beta_oracle():
+    crossings = 0
+    for seed in SEEDS:
+        family, alpha, _, _, _ = alpha_beta_case(seed)
+        t = R_crossing(family, alpha)
+        if t is None:
+            # The scan to 100/alpha covers s in [1/101, 1); with alpha = 0, R's spectrum is fixed for t > 0.
+            scan_max = 100.0 / (alpha if alpha > 0.0 else family.rho_B)
+            report = stability_threshold(family, "R", scan_max=scan_max)
+            assert report.classification == "stable_throughout_scan", (seed, report)
+            continue
+        crossings += 1
+        report = stability_threshold(family, "R", scan_max=1.5 * t, bisect_tol=1e-12)
+        assert report.classification == "stable_then_unstable", (seed, report)
+        assert abs(report.T_star - t) <= 1e-12 * t, (seed, report.T_star, t)
+    assert crossings >= 100  # the sweep is not vacuous

@@ -213,6 +213,23 @@ def test_fuzz_command_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fuzz", "--trials", "2"],
+        ["check", "--suite", "inpainting", "--trials", "2"],
+        ["pnp", "--kind", "inpainting", "--n", "8", "--t", "1.0"],
+    ],
+    ids=["fuzz", "check", "pnp"],
+)
+def test_a_negative_seed_is_rejected_by_name(tmp_path, capsys, command):
+    # numpy's "expected non-negative integer" was the whole message; it named no flag.
+    out = tmp_path / "out.txt"
+    assert main([*command, "--seed", "-1", "--out", str(out)]) == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuzz_command_exits_1_on_a_violation(tmp_path, capsys):
     # Seed 523 meets the four encoded conjecture hypotheses and violates the bound.
     out = tmp_path / "fuzz_523.jsonl"

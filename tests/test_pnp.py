@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from pnpstab.errors import SingularMatrixError
 from pnpstab.matrices import validate_stochastic
 from pnpstab.operators import build_inpainting, gram, kernel_denoiser
 from pnpstab.pnp import (
@@ -14,7 +13,7 @@ from pnpstab.pnp import (
     pgd_pnp_run,
     trace_to_csv,
 )
-from pnpstab.spectral import rho, solve_linear
+from pnpstab.spectral import rho, solve_stack
 
 
 def _sqrt_psd(b):
@@ -23,8 +22,10 @@ def _sqrt_psd(b):
 
 
 def fixed_point(problem):
+    """x* = (I - P(t))^{-1} c, or None where I - P(t) fails the pivot test."""
     p, c = affine_map(problem)
-    return solve_linear(np.eye(problem.W.n) - p, c)
+    x, small = solve_stack((np.eye(problem.W.n) - p)[None], c)
+    return None if small.any() else x[0]
 
 
 def geometric_trace(ratio, steps, start=1.0):
@@ -65,6 +66,14 @@ def test_run_rejects_a_bad_start(x0):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="x0"):
             pgd_pnp_run(inpainting_problem(), x0=np.array(x0, dtype=float), max_iter=2000)
+
+
+def test_run_rejects_a_problem_whose_affine_map_overflows():
+    # A^T A overflows to inf, so P(t) is not finite: the fixed-point solve refuses it.
+    problem = inpainting_problem()
+    huge = InverseProblem(A=1e160 * problem.A, b=problem.b, W=problem.W, t=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        pgd_pnp_run(huge, x0=np.zeros(4))
 
 
 def test_diverging_run_stops_unconverged_without_warnings():
@@ -158,8 +167,7 @@ def test_run_without_fixed_point_records_losses_only():
     m = rng.uniform(0.1, 1.0, size=(2, 2))
     w = validate_stochastic(m / m.sum(axis=1, keepdims=True))
     problem = InverseProblem(A=a, b=np.array([1.0, 0.0]), W=w, t=0.7)
-    with pytest.raises(SingularMatrixError):
-        fixed_point(problem)
+    assert fixed_point(problem) is None
     trace = pgd_pnp_run(problem, x0=np.zeros(2), max_iter=200, tol=1e-12)
     assert trace.error_norms.size == 0
     assert trace.estimated_rate is None

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pnpstab.errors import NoConvergenceError, SingularMatrixError, SingularShiftError
+from pnpstab.errors import NoConvergenceError, SingularShiftError
 from pnpstab.matrices import _symmetric_eigvals, left_perron_vector, validate_stochastic
 from pnpstab.operators import P_of, R_of, make_family
 from pnpstab.repro import example_family
@@ -14,7 +14,6 @@ from pnpstab.spectral import (
     eigenvalues,
     rho,
     rho_stack,
-    solve_linear,
     solve_stack,
 )
 
@@ -158,25 +157,36 @@ def test_spectral_norm_dominates_radius():
         assert np.linalg.norm(m, 2) >= rho(m) - 1e-10
 
 
+def solve_one(a, b):
+    """solve_stack on the one-slice stack [a]: (x, small) of that slice."""
+    x, small = solve_stack(np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float))
+    return x[0], small[0]
+
+
 def test_solve_identity_returns_rhs():
     b = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(solve_linear(np.eye(3), b), b)
+    x, small = solve_one(np.eye(3), b)
+    np.testing.assert_array_equal(x, b)
+    assert not small.any()
 
 
 def test_solve_rank_one_shift():
     # (I + E) e = 3e, so the solution of (I + 2*(E/2)) x = e is e/3
     a = np.eye(2) + 2.0 * (np.ones((2, 2)) / 2)
-    np.testing.assert_allclose(solve_linear(a, np.ones(2)), np.ones(2) / 3, atol=1e-15)
+    x, small = solve_one(a, np.ones(2))
+    np.testing.assert_allclose(x, np.ones(2) / 3, atol=1e-15)
+    assert not small.any()
 
 
 def test_solve_detects_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.ones((2, 2)), np.array([1.0, 0.0]))
+    x, small = solve_one(np.ones((2, 2)), np.array([1.0, 0.0]))
+    assert small.any()
+    assert np.array_equal(x, np.zeros(2))
 
 
 def test_solve_reports_the_first_small_pivot():
-    with pytest.raises(SingularMatrixError, match="at pivot 1$"):
-        solve_linear(np.diag([1.0, 0.0, 1.0]), np.ones(3))
+    _, small = solve_one(np.diag([1.0, 0.0, 1.0]), np.ones(3))
+    assert np.flatnonzero(small).tolist() == [1]
 
 
 def test_solve_stack_masks_small_pivots_and_zeroes_their_slices():
@@ -196,12 +206,11 @@ def test_solve_stack_masks_small_pivots_and_zeroes_their_slices():
     assert small.any(axis=-1).tolist() == [False, True, True, True, False]
     assert np.linalg.solve(a[2], b).all()  # so x[2] = 0 comes from the mask
     for k in range(len(a)):
+        alone_x, alone_small = solve_one(a[k], b)
+        assert np.array_equal(small[k], alone_small)
+        assert np.array_equal(x[k], alone_x)
         if small[k].any():
             assert np.array_equal(x[k], np.zeros((3, 2)))
-            with pytest.raises(SingularMatrixError, match=f"at pivot {np.flatnonzero(small[k])[0]}$"):
-                solve_linear(a[k], b)
-        else:
-            assert np.array_equal(x[k], solve_linear(a[k], b))
     assert [int(np.flatnonzero(s)[0]) for s in small[1:4]] == [1, 2, 1]
 
 
@@ -217,10 +226,9 @@ def raised(call, *args):
     "error, call, args",
     [
         (NoConvergenceError, left_perron_vector, (validate_stochastic([[1.0, 1e-20], [1.0, 0.0]]),)),
-        (SingularMatrixError, solve_linear, (np.diag([1.0, 0.0, 1.0]), np.ones(3))),
         (SingularShiftError, lambda: R_of(make_family(validate_stochastic([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2)), 1.0), ()),
     ],
-    ids=["NoConvergenceError", "SingularMatrixError", "SingularShiftError"],
+    ids=["NoConvergenceError", "SingularShiftError"],
 )
 def test_errors_survive_a_pickle_round_trip(error, call, args):
     # A run_campaign worker returns its exceptions through pickle. The classes that formatted
@@ -259,7 +267,8 @@ def test_solve_residual_on_random_systems():
         n = int(rng.integers(1, 10))
         a = rng.normal(size=(n, n)) + np.eye(n) * 0.5
         b = rng.normal(size=n)
-        x = solve_linear(a, b)
+        x, small = solve_one(a, b)
+        assert not small.any()
         assert np.linalg.norm(a @ x - b) <= 1e-10 * (1 + np.linalg.norm(x)) * np.linalg.norm(a, np.inf)
 
 
@@ -267,7 +276,8 @@ def test_solve_supports_matrix_rhs():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 4)) + 2 * np.eye(4)
     rhs = rng.normal(size=(4, 3))
-    x = solve_linear(a, rhs)
+    x, small = solve_one(a, rhs)
+    assert x.shape == (4, 3) and not small.any()
     np.testing.assert_allclose(a @ x, rhs, atol=1e-12)
 
 

@@ -1381,6 +1381,9 @@ def singular_slope_family():
         (lambda: check_theorem_bound(blur_family(), "conjecture", grid_steps=0), ValueError, "need grid_steps >= 1"),
         (lambda: slope_check(blur_family(), "P", h=0.0), ValueError, "h must be positive"),
         (lambda: slope_check(blur_family(), "R", h=-1e-5), ValueError, "h must be positive"),
+        (lambda: slope_check(blur_family(), "R", h=math.nan), ValueError, "h must be positive and finite"),
+        (lambda: slope_check(blur_family(), "Q"), ValueError, "which must be 'P' or 'R', got 'Q'"),
+        (lambda: slope_check(blur_family(), "p"), ValueError, "which must be 'P' or 'R', got 'p'"),
         (lambda: slope_check(singular_slope_family(), "R", h=2.0**-17), SingularShiftError, None),
         (lambda: conjecture_trial(1, "imaging", 0), ValueError, "n must be at least 2"),
         (lambda: run_suite("inpainting", trials=0), ValueError, "trials"),
@@ -1395,6 +1398,9 @@ def singular_slope_family():
         "bound_check_zero_grid_steps",
         "slope_zero_h",
         "slope_negative_h",
+        "slope_nan_h",
+        "slope_unknown_which",
+        "slope_lowercase_which",
         "slope_at_a_singular_shift",
         "trial_n_below_two",
         "suite_zero_trials",
