@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularShiftError
 from .matrices import (
@@ -28,7 +29,7 @@ from .matrices import (
     structure,
     validate_stochastic,
 )
-from .spectral import rho, solve_stack
+from .spectral import rho
 
 __all__ = [
     "OperatorFamily",
@@ -37,7 +38,6 @@ __all__ = [
     "P_of",
     "R_of",
     "P_stack",
-    "R_stack",
     "predicted_slope",
     "build_inpainting",
     "build_deblur",
@@ -106,16 +106,42 @@ def P_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return w @ (np.eye(len(w)) - ts[:, None, None] * b)
 
 
-def R_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) = I - W + (I + t B)^{-1} (2 W - I) for every t of a 1-D array.
+def _R_schur(w: np.ndarray, b: np.ndarray):
+    """(ts -> (m, ok), Q): R(t) in B's real Schur basis, one slice per t of a 1-D array.
 
-    Returns `(r, ok)`, one slice per t: `ok` masks the t where I + t B passes
-    the pivot test of `spectral.solve_stack`. `r[k]` is R(t) where `ok[k]`, and
-    the finite placeholder I - W at a singular shift.
+    With B = Q T Q^T, T quasi-upper-triangular (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 7.4), and W~ = Q^T W Q, R(t) = Q m Q^T for m = I - W~ + (I + tT)^{-1} (2 W~ - I). For an
+    exactly symmetric B, Q and T = diag(lam) come from one eigh and the solve is a row division;
+    for any other B, or if eigh fails, from `scipy.linalg.schur`, with one stacked solve. The shift
+    is singular where some |1 + t lam_i| <= n eps (1 + t max|lam|), lam the eigenvalues of T: zero
+    within their rounding. `ok` is False there, and m holds W~.
     """
+    tri = q = None
+    if np.array_equal(b, b.T):
+        try:
+            lam, q = np.linalg.eigh(b)
+        except np.linalg.LinAlgError:
+            pass
+    if q is None:
+        tri, q = scipy.linalg.schur(b, output="real")
+        lam = np.linalg.eigvals(tri)
     eye = np.eye(len(w))
-    x, small = solve_stack(eye + ts[:, None, None] * b, 2.0 * w - eye)
-    return eye - w + x, ~small.any(axis=-1)
+    w_tilde = q.T @ w @ q
+    i_minus_w, two_w_minus_i = eye - w_tilde, 2.0 * w_tilde - eye
+    rounding = len(w) * np.finfo(float).eps
+    lam_max = np.abs(lam).max()
+
+    def similar(ts: np.ndarray):
+        shift = 1.0 + ts[:, None] * lam
+        ok = (np.abs(shift) > rounding * (1.0 + ts[:, None] * lam_max)).all(axis=1)
+        # A singular slice solves with I (or divides by 1), so it raises no warning.
+        if tri is None:
+            return i_minus_w + two_w_minus_i / np.where(ok[:, None], shift, 1.0)[:, :, None], ok
+        shifts = np.where(ok[:, None, None], eye + ts[:, None, None] * tri, eye)
+        # A right-hand side of a stack's dimension is a stack of matrices for numpy 1.x as for 2.x.
+        return i_minus_w + np.linalg.solve(shifts, np.broadcast_to(two_w_minus_i, shifts.shape)), ok
+
+    return similar, q
 
 
 def P_of(family: OperatorFamily, t: float) -> np.ndarray:
@@ -126,13 +152,15 @@ def P_of(family: OperatorFamily, t: float) -> np.ndarray:
 
 
 def R_of(family: OperatorFamily, t: float) -> np.ndarray:
-    """R(t) = I - W + (I + t B)^{-1} (2 W - I): the one-point case of `R_stack`."""
+    """R(t) = I - W + (I + t B)^{-1} (2 W - I), as Q m Q^T from the one-point slice m of
+    `_R_schur`. Raises SingularShiftError where its rule marks the shift singular."""
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and nonnegative")
-    r, ok = R_stack(family.W.matrix, family.B, np.array([t], dtype=float))
+    similar, q = _R_schur(family.W.matrix, family.B)
+    m, ok = similar(np.array([t], dtype=float))
     if not ok[0]:
         raise SingularShiftError(f"I + tB is numerically singular at t = {t}")
-    return r[0]
+    return q @ m[0] @ q.T
 
 
 def predicted_slope(family: OperatorFamily) -> float:

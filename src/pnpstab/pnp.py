@@ -17,7 +17,7 @@ import numpy as np
 
 from .matrices import StochasticMatrix, as_matrix
 from .operators import P_stack, gram
-from .spectral import solve_stack
+from .spectral import solve
 
 __all__ = [
     "InverseProblem",
@@ -88,7 +88,7 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
     error. A diverging run ends, unconverged, at the first iterate whose
     step, norm, error or loss overflows; that iterate is not recorded.
     Error norms are measured against the affine fixed point when
-    I - P(t) passes the pivot test of `spectral.solve_stack`. A tol that is negative or not finite, a
+    I - P(t) passes the pivot test of `spectral.solve`. A tol that is negative or not finite, a
     negative max_iter, or an x0 that is not of length n or whose entries,
     norm or loss are not finite raises ValueError.
     """
@@ -102,8 +102,8 @@ def pgd_pnp_run(problem: InverseProblem, x0, max_iter: int = 1000, tol: float = 
     if not np.isfinite(x).all():
         raise ValueError("x0 has non-finite entries")
     p, c = affine_map(problem)
-    solved, small = solve_stack(as_matrix(np.eye(problem.W.n) - p)[None], c)  # as_matrix rejects an overflowed P(t)
-    x_star = None if small.any() else solved[0]
+    solved, small = solve(as_matrix(np.eye(problem.W.n) - p), c)  # as_matrix rejects an overflowed P(t)
+    x_star = None if small.any() else solved
 
     def loss(x):
         r = problem.A @ x - problem.b

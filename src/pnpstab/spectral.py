@@ -1,10 +1,9 @@
-"""Dense eigensolution, spectral radius, and pivot-checked linear solves.
+"""Dense eigensolution, spectral radius, and a pivot-checked linear solve.
 
 Backed by LAPACK via numpy/scipy. `rho` is the one-matrix case of
-`rho_stack`; a single solve is the one-slice case of `solve_stack`, whose
-pivot mask says whether the matrix is numerically singular. Complex
-arithmetic is confined to this module; every public matrix elsewhere in
-the package is real.
+`rho_stack`; `solve`'s pivot mask says whether the matrix is numerically
+singular. `eigenvalues` is the one public function that returns complex
+values; every public matrix of the package is real.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ __all__ = [
     "eigenvalues",
     "rho",
     "rho_stack",
-    "solve_stack",
+    "solve",
 ]
 
 
@@ -110,21 +109,14 @@ def _certified_powers(stack: np.ndarray) -> np.ndarray:
     return powers
 
 
-def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A_k X = b for every matrix A_k of an (m, n, n) stack, one LAPACK
-    gesv call per slice.
+def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A X = b by one LAPACK gesv call.
 
-    Returns `(x, small)`, one slice per A_k. `small` is the (m, n) mask of the
-    U pivots at or below 1e-13 * ||A_k||_inf; a zero pivot, where gesv skips
-    the solve, is in it. `x[k]` is bitwise the solve of `a[k]` alone where
-    `small[k]` has no True, and 0 elsewhere.
+    Returns `(x, small)`. `small` is the (n,) mask of the U pivots at or below
+    1e-13 * ||A||_inf; a zero pivot, where gesv skips the solve, is in it. `x` is
+    the solve where `small` has no True, and 0 elsewhere.
     """
-    scale = np.linalg.norm(a, np.inf, axis=(-2, -1))
     (gesv,) = scipy.linalg.get_lapack_funcs(("gesv",), (a,))
-    lu = np.empty_like(a)
-    x = np.empty(a.shape[:1] + np.shape(b))
-    for k in range(len(a)):
-        lu[k], _, x[k], _ = gesv(a[k], b)
-    small = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) <= _PIVOT_RTOL * scale[:, None]
-    x[small.any(axis=-1)] = 0.0
-    return x, small
+    lu, _, x, _ = gesv(a, b)
+    small = np.abs(np.diagonal(lu)) <= _PIVOT_RTOL * np.linalg.norm(a, np.inf)
+    return (np.zeros_like(x) if small.any() else x), small

@@ -15,7 +15,6 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from .operators import (
     build_superres,
     conjecture_hypotheses,
     ConjectureHypotheses,
-    R_stack,
+    _R_schur,
     gram,
     kernel_denoiser,
     make_family,
@@ -89,12 +88,9 @@ def _same_spectrum(family: OperatorFamily, which: str):
     is False only at a singular shift of R. Every rho that pnpstab measures is read off it.
 
     P(t) = W (I - tB) = W - t WB is affine in t, so for P it is W - t WB for any B, with WB
-    formed once; the closure keeps it as `.wb`. For R with B = Q diag(lam) Q^T exactly
-    symmetric and W~ = Q^T W Q, it is I - W~ + diag(1 / (1 + t lam)) (2 W~ - I): no solve, no
-    matmul. Its shift is singular where some |1 + t lam_i| <= n eps (1 + t max|lam|), zero
-    within the rounding of lam, and m holds W~ there. For any other B, or if eigh fails, it is
-    R(t) as `operators.R_stack` builds it, with its pivot test and placeholder. Any which other
-    than "P" or "R" raises ValueError before any product or eigh.
+    formed once; the closure keeps it as `.wb`. For R it is R(t) in B's real Schur basis, with
+    its singular-shift mask (`operators._R_schur`). Any which other than "P" or "R" raises
+    ValueError before any product or decomposition.
     """
     if which not in ("P", "R"):
         raise ValueError(f"which must be 'P' or 'R', got {which!r}")
@@ -108,26 +104,7 @@ def _same_spectrum(family: OperatorFamily, which: str):
         affine.wb = wb
         return affine
 
-    built = partial(R_stack, w, b)  # ts -> (R(t) stack, ok)
-    if not np.array_equal(b, b.T):
-        return built
-    try:
-        lam, q = np.linalg.eigh(b)
-    except np.linalg.LinAlgError:
-        return built
-    w_tilde = q.T @ w @ q
-    eye = np.eye(family.n)
-    i_minus_w, two_w_minus_i = eye - w_tilde, 2.0 * w_tilde - eye
-    rounding = family.n * np.finfo(float).eps
-    lam_max = np.abs(lam).max()
-
-    def r_similar(ts: np.ndarray):
-        shift = 1.0 + ts[:, None] * lam
-        ok = (np.abs(shift) > rounding * (1.0 + ts[:, None] * lam_max)).all(axis=1)
-        # A singular slice divides by 1, so it raises no warning.
-        return i_minus_w + two_w_minus_i / np.where(ok[:, None], shift, 1.0)[:, :, None], ok
-
-    return r_similar
+    return _R_schur(w, b)[0]
 
 
 def _deflate_e(family: OperatorFamily, wb: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
@@ -304,8 +281,8 @@ def stability_threshold(
     One stacked squaring (`spectral._certified_powers`) per block finds some
     ||M^k||_F <= 1/2 (k = 2, 4, ..., 2^16; past 64 only while the powers
     decay) of a matrix M with the spectrum of P(t) or R(t), a slice of the
-    call's one `_same_spectrum` function (one WB for P, one eigh of an exactly
-    symmetric B for R); that proves rho <= 2^(-1/k) < 1 - 1.06e-5 without an
+    call's one `_same_spectrum` function (one WB for P, one eigh or real Schur
+    form of B for R); that proves rho <= 2^(-1/k) < 1 - 1.06e-5 without an
     eigensolve, and spares the point eps0, where rho is near 1 - eps0 pi^T B e. The points
     it leaves are eigensolved in order, and nothing past the first crossing
     is eigensolved; the grid point before the crossing is eigensolved for

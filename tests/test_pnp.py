@@ -13,7 +13,7 @@ from pnpstab.pnp import (
     pgd_pnp_run,
     trace_to_csv,
 )
-from pnpstab.spectral import rho, solve_stack
+from pnpstab.spectral import rho, solve
 
 
 def _sqrt_psd(b):
@@ -24,8 +24,8 @@ def _sqrt_psd(b):
 def fixed_point(problem):
     """x* = (I - P(t))^{-1} c, or None where I - P(t) fails the pivot test."""
     p, c = affine_map(problem)
-    x, small = solve_stack((np.eye(problem.W.n) - p)[None], c)
-    return None if small.any() else x[0]
+    x, small = solve(np.eye(problem.W.n) - p, c)
+    return None if small.any() else x
 
 
 def geometric_trace(ratio, steps, start=1.0):

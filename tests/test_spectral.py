@@ -14,7 +14,7 @@ from pnpstab.spectral import (
     eigenvalues,
     rho,
     rho_stack,
-    solve_stack,
+    solve,
 )
 
 
@@ -158,9 +158,7 @@ def test_spectral_norm_dominates_radius():
 
 
 def solve_one(a, b):
-    """solve_stack on the one-slice stack [a]: (x, small) of that slice."""
-    x, small = solve_stack(np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float))
-    return x[0], small[0]
+    return solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def test_solve_identity_returns_rhs():
@@ -189,29 +187,27 @@ def test_solve_reports_the_first_small_pivot():
     assert np.flatnonzero(small).tolist() == [1]
 
 
-def test_solve_stack_masks_small_pivots_and_zeroes_their_slices():
+def test_solve_masks_small_pivots_and_zeroes_x():
     rng = np.random.default_rng(3)
-    a = np.stack(
-        [
-            rng.normal(size=(3, 3)) + 3.0 * np.eye(3),
-            np.diag([1.0, 0.0, 1.0]),  # an exact zero pivot: gesv skips the solve
-            np.diag([1.0, 1.0, 1e-14]),  # solvable, but the last pivot fails the relative test
-            np.ones((3, 3)),
-            rng.normal(size=(3, 3)) + 3.0 * np.eye(3),
-        ]
-    )
+    a = [
+        rng.normal(size=(3, 3)) + 3.0 * np.eye(3),
+        np.diag([1.0, 0.0, 1.0]),  # an exact zero pivot: gesv skips the solve
+        np.diag([1.0, 1.0, 1e-14]),  # solvable, but the last pivot fails the relative test
+        np.ones((3, 3)),
+        rng.normal(size=(3, 3)) + 3.0 * np.eye(3),
+    ]
     b = rng.normal(size=(3, 2))
-    x, small = solve_stack(a, b)
-    assert x.shape == (5, 3, 2) and small.shape == (5, 3)
-    assert small.any(axis=-1).tolist() == [False, True, True, True, False]
-    assert np.linalg.solve(a[2], b).all()  # so x[2] = 0 comes from the mask
-    for k in range(len(a)):
-        alone_x, alone_small = solve_one(a[k], b)
-        assert np.array_equal(small[k], alone_small)
-        assert np.array_equal(x[k], alone_x)
-        if small[k].any():
-            assert np.array_equal(x[k], np.zeros((3, 2)))
-    assert [int(np.flatnonzero(s)[0]) for s in small[1:4]] == [1, 2, 1]
+    assert np.linalg.solve(a[2], b).all()  # so x = 0 comes from the mask
+    first_small = []
+    for k, ak in enumerate(a):
+        x, small = solve(ak, b)
+        assert x.shape == (3, 2) and small.shape == (3,)
+        if small.any():
+            assert np.array_equal(x, np.zeros((3, 2)))
+            first_small.append(int(np.flatnonzero(small)[0]))
+        else:
+            np.testing.assert_allclose(ak @ x, b, rtol=0, atol=1e-13)
+    assert first_small == [1, 2, 1]
 
 
 def raised(call, *args):

@@ -7,8 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pnpstab import operators, stability
+from pnpstab import stability
 from pnpstab.errors import NoConvergenceError, SingularShiftError
 from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
@@ -16,7 +17,7 @@ from pnpstab.operators import (
     P_of,
     P_stack,
     R_of,
-    R_stack,
+    _R_schur,
     build_deblur,
     build_inpainting,
     conjecture_hypotheses,
@@ -540,7 +541,7 @@ def seeded_family(generator, seed, n_max):
 
 @pytest.mark.parametrize("generator", ["imaging", "general_psd"])
 def test_certified_slices_have_radius_below_the_certified_bound(generator):
-    # Each slice is certified twice: as P_stack/R_stack build it, and in _same_spectrum's
+    # Each slice is certified twice: as P_stack/R_of build it, and in _same_spectrum's
     # form (W - t WB for P, the similar matrix in B's eigenbasis for R).
     # The first scan point eps0 = 1e-4 is in, where rho is within about 1e-4 of 1.
     certified = {"built": 0, "same_spectrum": 0}
@@ -551,10 +552,10 @@ def test_certified_slices_have_radius_below_the_certified_bound(generator):
         w, b = family.W.matrix, family.B
         for which in ("P", "R"):
             similar, similar_ok = stability._same_spectrum(family, which)(ts)
-            stack, ok = (P_stack(w, b, ts), np.ones(ts.size, dtype=bool)) if which == "P" else R_stack(w, b, ts)
-            assert np.array_equal(similar_ok, ok)
-            radii = rho_stack(stack[ok])
-            for t, m, e, r in zip(ts[ok], stack[ok], similar[ok], radii):
+            stack = P_stack(w, b, ts) if which == "P" else np.stack([R_of(family, t) for t in ts])
+            assert similar_ok.all()  # B is positive semidefinite: no singular shift
+            radii = rho_stack(stack)
+            for t, m, e, r in zip(ts, stack, similar, radii):
                 for basis, cand in (("built", m), ("same_spectrum", e)):
                     if k := stability._certified_powers(cand[None])[0]:
                         certified[basis] += 1
@@ -602,13 +603,13 @@ def test_certificate_changes_no_threshold_report_on_examples(monkeypatch, exampl
 
 def test_certificate_changes_no_threshold_report_on_indefinite_and_non_symmetric_b(monkeypatch):
     w = validate_stochastic(W_BLUR)
-    # I + 4B is singular for the indefinite B; the non-symmetric B takes R_stack's built path.
+    # I + 4B is singular for the indefinite B; the non-symmetric B is read in its real Schur basis.
     assert_certificate_changes_no_report(monkeypatch, make_family(w, np.diag([0.5, -0.25])), 8.0)
     assert_certificate_changes_no_report(monkeypatch, make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]])), 8.0)
 
 
 def test_certificate_changes_no_threshold_report_where_the_shift_fails_the_pivot_test(monkeypatch):
-    # I + tB = diag(1 + t, 1) fails R_of's 1e-13 pivot test from t ~ 1e13, but no shift
+    # I + tB = diag(1 + t, 1) fails a 1e-13 LU pivot test from t ~ 1e13, but no shift
     # 1 + t lam is zero within the rounding of lam: every scan point is R in B's eigenbasis,
     # certified or eigensolved, and the scan reads no crossing.
     family = make_family(validate_stochastic(W_BLUR), np.diag([1.0, 0.0]))
@@ -718,14 +719,14 @@ def test_certificate_changes_no_threshold_report_on_an_imaging_family(monkeypatc
 
 def test_certificate_spares_the_eigensolves_of_an_imaging_scan(monkeypatch):
     # Without the certificate the scan eigensolves every point: 14 for P and 16 for R.
-    # Certifying the built M(t) cost a build per point: 15 P_stack and 16 LU builds.
+    # B is symmetric, so R is read in its eigenbasis: no Schur form and no solve.
     family = imaging_family_64()
     for which, classification in [
         ("P", "stable_then_unstable"),  # Be = beta e: the crossing and its refinement read off 1 - t beta
         ("R", "stable_throughout_scan"),  # eps0, where rho(R) is within 1e-4 of 1, certifies too
     ]:
         with monkeypatch.context() as m:
-            m.setattr(operators, "solve_stack", never_called("solve_stack"))
+            forbid_schur_and_solves(m)
             budget_builders(m, 2)  # the two 8-point blocks of the scan
             report, calls, _ = recorded_threshold(m, family, which, scan_max=3.0, grid_step=0.1875)
         assert report.classification == classification
@@ -827,9 +828,9 @@ def same_spectrum_at(family, which, t):
 
 
 def test_eigenbasis_operator_is_similar_and_guarded():
-    # P is W - t WB for every B: symmetric, indefinite or not symmetric. R of an exactly
-    # symmetric B is the similar matrix in B's eigenbasis at every t, guarded only where a
-    # shift 1 + t lam is zero within the rounding of lam; R of any other B is R(t) as built.
+    # P is W - t WB for every B: symmetric, indefinite or not symmetric. R is the similar matrix
+    # in B's real Schur basis at every t (its eigenbasis for an exactly symmetric B), guarded only
+    # where a shift 1 + t lam is zero within the rounding of lam, and R_of turns it back by Q.
     w = validate_stochastic(W_BLUR)
     indefinite = make_family(w, np.diag([0.5, -0.25]))  # I + 4B is singular
     non_symmetric = make_family(w, np.array([[0.5, 0.2], [0.1, 0.3]]))
@@ -841,40 +842,54 @@ def test_eigenbasis_operator_is_similar_and_guarded():
             assert np.allclose(p, P_of(family, t), rtol=0, atol=1e-14)
             want = np.sort_complex(np.linalg.eigvals(P_of(family, t)))
             assert np.allclose(np.sort_complex(np.linalg.eigvals(p)), want, rtol=0, atol=1e-12)
-    for t in (0.5, 1.9, 2.1, 3.9, 4.1, 17.9):
-        similar = same_spectrum_at(indefinite, "R", t)
-        want = np.sort_complex(np.linalg.eigvals(R_of(indefinite, t)))
-        assert not np.array_equal(similar, R_of(indefinite, t))  # the eigenbasis form
-        assert np.allclose(np.sort_complex(np.linalg.eigvals(similar)), want, rtol=0, atol=1e-12)
+    eye = np.eye(2)
+    for family in (indefinite, non_symmetric):
+        q = _R_schur(family.W.matrix, family.B)[1]
+        for t in (0.5, 1.9, 2.1, 3.9, 4.1, 17.9):
+            similar = same_spectrum_at(family, "R", t)
+            assert np.array_equal(q @ similar @ q.T, R_of(family, t))
+            built = eye - w.matrix + np.linalg.solve(eye + t * family.B, 2.0 * w.matrix - eye)
+            want = np.sort_complex(np.linalg.eigvals(built))
+            assert np.allclose(np.sort_complex(np.linalg.eigvals(similar)), want, rtol=0, atol=1e-12)
+    assert not np.array_equal(same_spectrum_at(indefinite, "R", 0.5), R_of(indefinite, 0.5))  # the eigenbasis form
     assert same_spectrum_at(indefinite, "R", 4.0) is None
     with pytest.raises(SingularShiftError):
         R_of(indefinite, 4.0)
     wide_family = make_family(w, np.diag([1.0, 0.0]))
-    for t in (1e9, 1e11):
-        assert not np.array_equal(same_spectrum_at(wide_family, "R", t), R_of(wide_family, t))  # the eigenbasis form
-    assert same_spectrum_at(wide_family, "R", 1e13) is not None  # no zero shift, though I + tB fails R_of's pivot test
-    with pytest.raises(SingularShiftError):
-        R_of(wide_family, 1e13)
-    assert np.array_equal(same_spectrum_at(non_symmetric, "R", 0.5), R_of(non_symmetric, 0.5))
+    for t in (1e9, 1e11, 1e13):  # no zero shift, though I + tB fails a 1e-13 LU pivot test from 1e13
+        similar = same_spectrum_at(wide_family, "R", t)
+        assert not np.array_equal(similar, R_of(wide_family, t))  # the eigenbasis form
+        want = np.sort(np.linalg.eigvals(R_of(wide_family, t)))
+        assert np.allclose(np.sort(np.linalg.eigvals(similar)), want, rtol=0, atol=1e-12)
+
+
+def ci_non_symmetric_pair():
+    # CI's n = 64 pair with B[0, 1] += 1e-3 (B64ns).
+    w, b = ci_imaging_pair()
+    b = b.copy()
+    b[0, 1] += 1e-3
+    return w, b
 
 
 @pytest.mark.parametrize(
-    "b, ts",
+    "pair, ts",
     [
-        (np.diag([0.5, -0.25]), [0.5, 4.0, 1.9, 3.0, 2.0, 4.0]),  # I + 4B is singular
-        (np.diag([1.0, 0.0]), [1e9, 1e13, 1e11, 1.0, 3e14]),  # past R_of's pivot test from 1e13
-        (np.array([[0.5, 0.2], [0.1, 0.3]]), [0.5, 1.0, 17.9]),  # not symmetric: every point built
+        ((validate_stochastic(W_BLUR), np.diag([0.5, -0.25])), [0.5, 4.0, 1.9, 3.0, 2.0, 4.0]),  # I + 4B is singular
+        ((validate_stochastic(W_BLUR), np.diag([1.0, 0.0])), [1e9, 1e13, 1e11, 1.0, 3e14]),  # past an LU pivot test
+        ((validate_stochastic(W_BLUR), np.array([[0.5, 0.2], [0.1, 0.3]])), [0.5, 1.0, 17.9]),  # not symmetric
+        (ci_non_symmetric_pair(), [0.1875, 3.0, 1.5, 0.75, 2.8125]),
     ],
-    ids=["indefinite", "wide", "non_symmetric"],
+    ids=["indefinite", "wide", "non_symmetric", "non_symmetric_64"],
 )
 @pytest.mark.parametrize("which", ["P", "R"])
-def test_same_spectrum_of_a_block_is_its_points_one_by_one(which, b, ts):
+def test_same_spectrum_of_a_block_is_its_points_one_by_one(which, pair, ts):
     # Each slice and its singular-shift mask are bitwise the one-point case, whatever the
     # other points of the block are.
-    family = make_family(validate_stochastic(W_BLUR), b)
+    family = make_family(*pair)
+    b = family.B
     build = stability._same_spectrum(family, which)
     m, ok = build(np.array(ts))
-    assert m.shape == (len(ts), 2, 2)
+    assert m.shape == (len(ts), family.n, family.n)
     for k, t in enumerate(ts):
         one, one_ok = build(np.array([t]))
         assert np.array_equal(m[k], one[0]) and ok[k] == one_ok[0], t
@@ -884,7 +899,7 @@ def test_same_spectrum_of_a_block_is_its_points_one_by_one(which, b, ts):
 def test_singular_shift_rule_of_a_symmetric_b():
     # A shift 1 + t lam is singular only where it is zero within n eps (1 + t max|lam|),
     # the rounding of lam: at t = 4 for diag(0.5, -0.25), and nowhere up to 3e14 for diag(1, 0),
-    # whose I + tB fails R_of's pivot test from t = 1e13.
+    # whose I + tB fails a 1e-13 LU pivot test from t = 1e13.
     w = validate_stochastic(W_WIDE)
     indefinite = make_family(w, np.diag([0.5, -0.25]))
     wide = make_family(w, np.diag([1.0, 0.0]))
@@ -923,21 +938,30 @@ W_WIDE = np.array([[0.3, 0.7], [0.6, 0.4]])
 
 
 def test_R_of_the_wide_family_is_stable_past_the_pivot_test():
-    # I + tB = diag(1 + t, 1) fails the relative pivot test from t = 1e13 on, yet R(t) is
-    # well defined there and its radius stays near sqrt(0.7).
+    # I + tB = diag(1 + t, 1) fails a 1e-13 relative LU pivot test from t = 1e13 on, yet R(t) is
+    # well defined there and its radius stays near sqrt(0.7); R_of raised SingularShiftError.
     family = make_family(validate_stochastic(W_WIDE), np.diag([1.0, 0.0]))
     w, eye = family.W.matrix, np.eye(2)
     for t in (1e13, 1e14, 3e14):
         r = eye - w + np.linalg.solve(eye + t * family.B, 2.0 * w - eye)
         assert abs(rho(r) - 0.83666) < 1e-5, t
-    with pytest.raises(SingularShiftError):
-        R_of(family, 1e13)
+        assert abs(rho(R_of(family, t)) - 0.83666) < 1e-5, t
 
 
 def test_R_threshold_of_the_wide_family_reports_no_crossing_that_the_pivot_test_makes():
     family = make_family(validate_stochastic(W_WIDE), np.diag([1.0, 0.0]))
     report = stability_threshold(family, "R", scan_max=3e14)
     assert report.classification == "stable_throughout_scan", report
+
+
+def test_R_threshold_of_a_non_symmetric_wide_family_reports_no_crossing():
+    # I + tB is upper triangular with pivots 1 + t and 1, so an LU pivot test refused t = 1e13,
+    # 1e14 and 3e14 and the scan read a crossing at 9990009990008.988. In B's real Schur basis
+    # no shift is singular, and rho(R) stays near 0.83630.
+    family = make_family(validate_stochastic(W_WIDE), np.array([[1.0, 1e-3], [0.0, 0.0]]))
+    report = stability_threshold(family, "R", scan_max=3e14)
+    assert report.classification == "stable_throughout_scan", report
+    np.testing.assert_allclose(rho_on_grid(family, "R", [1e13, 1e14, 3e14]), 0.83630, rtol=0, atol=1e-5)
 
 
 def test_R_threshold_of_remark_1_3_reports_no_crossing_where_rho_is_one():
@@ -950,31 +974,40 @@ def test_R_threshold_of_remark_1_3_reports_no_crossing_where_rho_is_one():
     assert np.abs(rho_on_grid(family, "R", np.linspace(1e-4, 3.0, 64)) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
-def test_threshold_falls_back_to_built_operators_when_eigh_fails(monkeypatch):
+def test_threshold_falls_back_to_the_schur_form_when_eigh_fails(monkeypatch):
     want = [stability_threshold(blur_family(), which, scan_max=3.0) for which in ("P", "R")]
+    schurs = []
+    real_schur = scipy.linalg.schur
 
     def eigh_fails(b):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
+    monkeypatch.setattr(scipy.linalg, "schur", lambda b, **kwargs: schurs.append(b) or real_schur(b, **kwargs))
     assert [stability_threshold(blur_family(), which, scan_max=3.0) for which in ("P", "R")] == want
+    assert len(schurs) == 1  # R's one Schur form
 
 
 def never_called(name):
-    def fails(*args):
+    def fails(*args, **kwargs):
         raise AssertionError(f"{name} called")
 
     return fails
 
 
+def forbid_schur_and_solves(monkeypatch):
+    for module, name in ((scipy.linalg, "schur"), (scipy.linalg, "solve"), (np.linalg, "solve")):
+        monkeypatch.setattr(module, name, never_called(f"{module.__name__}.{name}"))
+
+
 def test_r_threshold_of_a_symmetric_b_runs_one_eigh_and_builds_no_point(monkeypatch):
     # Every scan, walk and secant point of R is a slice of one eigenbasis form: one eigh of B,
-    # no LU build. Before, the walk rebuilt each point it eigensolved through R_stack.
+    # no Schur form and no solve.
     family = make_family(validate_stochastic(W_BLUR), np.diag([3.0, 0.5]))
     eighs = []
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda b: eighs.append(b) or real_eigh(b))
-    monkeypatch.setattr(stability, "R_stack", never_called("R_stack"))
+    forbid_schur_and_solves(monkeypatch)
     report, calls, _ = recorded_threshold(monkeypatch, family, "R", scan_max=20.0)
     assert report.classification == "stable_then_unstable" and len(calls) >= 3
     assert len(eighs) == 1
