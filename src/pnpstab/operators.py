@@ -37,7 +37,6 @@ __all__ = [
     "make_family",
     "P_of",
     "R_of",
-    "P_stack",
     "predicted_slope",
     "build_inpainting",
     "build_deblur",
@@ -101,9 +100,15 @@ def make_family(w: StochasticMatrix, b) -> OperatorFamily:
     return OperatorFamily(W=w, B=b, perron=perron, rho_B=rho_b)
 
 
-def P_stack(w: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """P(t) = W (I - t B) for every t of a 1-D array, as an (m, n, n) stack."""
-    return w @ (np.eye(len(w)) - ts[:, None, None] * b)
+def _P_affine(w: np.ndarray, b: np.ndarray):
+    """(ts -> (m, ok), WB): P(t) = W (I - tB) as W - t WB, one slice per t of a 1-D array, for
+    any B, with WB formed once; `ok` is all True."""
+    wb = w @ b
+
+    def affine(ts: np.ndarray):
+        return w - ts[:, None, None] * wb, np.ones(len(ts), dtype=bool)
+
+    return affine, wb
 
 
 def _R_schur(w: np.ndarray, b: np.ndarray):
@@ -145,10 +150,10 @@ def _R_schur(w: np.ndarray, b: np.ndarray):
 
 
 def P_of(family: OperatorFamily, t: float) -> np.ndarray:
-    """P(t) = W (I - t B): the one-point case of `P_stack`."""
+    """P(t) = W - t WB: the one-point slice of `_P_affine`, which every rho of P is read off."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    return P_stack(family.W.matrix, family.B, np.array([t], dtype=float))[0]
+    return _P_affine(family.W.matrix, family.B)[0](np.array([t], dtype=float))[0][0]
 
 
 def R_of(family: OperatorFamily, t: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import StochasticMatrix, as_matrix
-from .operators import P_stack, gram
+from .operators import _P_affine, gram
 from .spectral import solve
 
 __all__ = [
@@ -72,10 +72,10 @@ class IterationTrace:
 
 
 def affine_map(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
-    """(P(t), c) of the PnP update x <- P(t) x + c, with P(t) = W (I - t A^T A)
-    and c = t W A^T b."""
+    """(P(t), c) of the PnP update x <- P(t) x + c, with c = t W A^T b and P(t) = W (I - t A^T A)
+    read as `P_of` reads it: the one-point slice W - t WB of `operators._P_affine`, B = gram(A)."""
     w = problem.W.matrix
-    p = P_stack(w, gram(problem.A), np.array([problem.t], dtype=float))[0]
+    p = _P_affine(w, gram(problem.A))[0](np.array([problem.t], dtype=float))[0][0]
     c = problem.t * (w @ (problem.A.T @ problem.b))
     return p, c
 

@@ -37,6 +37,7 @@ from .operators import (
     build_superres,
     conjecture_hypotheses,
     ConjectureHypotheses,
+    _P_affine,
     _R_schur,
     gram,
     kernel_denoiser,
@@ -84,32 +85,21 @@ def _block_points(n: int) -> int:
 
 
 def _same_spectrum(family: OperatorFamily, which: str):
-    """ts -> (m, ok), one slice per t: m[k] has the spectrum of P(t) or R(t) where ok[k], and ok
-    is False only at a singular shift of R. Every rho that pnpstab measures is read off it.
+    """(ts -> (m, ok), basis), one slice per t: m[k] has the spectrum of P(t) or R(t) where ok[k],
+    and ok is False only at a singular shift of R. Every rho that pnpstab measures is read off it.
 
-    P(t) = W (I - tB) = W - t WB is affine in t, so for P it is W - t WB for any B, with WB
-    formed once; the closure keeps it as `.wb`. For R it is R(t) in B's real Schur basis, with
-    its singular-shift mask (`operators._R_schur`). Any which other than "P" or "R" raises
-    ValueError before any product or decomposition.
+    For P it is `operators._P_affine`'s pair (m[k] = W - t WB, bitwise `P_of`; basis WB); for R,
+    `operators._R_schur`'s (R(t) in B's real Schur basis Q, with its singular-shift mask). Any
+    which other than "P" or "R" raises ValueError before any product or decomposition.
     """
     if which not in ("P", "R"):
         raise ValueError(f"which must be 'P' or 'R', got {which!r}")
-    w, b = family.W.matrix, family.B
-    if which == "P":
-        wb = w @ b
-
-        def affine(ts: np.ndarray):
-            return w - ts[:, None, None] * wb, np.ones(len(ts), dtype=bool)
-
-        affine.wb = wb
-        return affine
-
-    return _R_schur(w, b)[0]
+    return (_P_affine if which == "P" else _R_schur)(family.W.matrix, family.B)
 
 
 def _deflate_e(family: OperatorFamily, wb: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
     """(beta, W2, W2B2) when B's row sums equal one beta > 0 within rounding, else None; wb is
-    the product WB of P's `_same_spectrum`.
+    the product WB that P's `_same_spectrum` returns with its closure.
 
     We = e and Be = beta e make e an eigenvector of P(t) = W (I - tB) with eigenvalue 1 - t beta.
     The Householder reflector H = I - 2vv^T / v^Tv, v = e_1 + e / sqrt(n), has first column
@@ -139,8 +129,9 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
     """rho(P(t)) or rho(R(t)) at every t of a 1-D grid.
 
     The matrices are `_same_spectrum`'s, eigensolved by `spectral.rho_stack`,
-    so each value is bitwise its own one-point `rho_on_grid` value and within
-    1e-12 relative of `spectral.rho` of `P_of(family, t)` or `R_of(family, t)`.
+    so each value is bitwise its own one-point `rho_on_grid` value and, for P,
+    `spectral.rho` of `P_of(family, t)`; for R it is within 1e-12 relative of
+    `spectral.rho` of `R_of(family, t)`.
     inf marks a singular shift I + tB (R only) and NaN an eigensolver failure.
     The grid is evaluated in blocks of at most `_BLOCK_ENTRIES` stacked
     entries, with one stacked eigensolve per block; a slice at a singular
@@ -151,7 +142,7 @@ def rho_on_grid(family: OperatorFamily, which: str, ts) -> np.ndarray:
         raise ValueError(f"expected a 1-D grid of t values, got shape {ts.shape}")
     if not np.isfinite(ts).all() or (which == "R" and (ts < 0.0).any()):
         raise ValueError("t must be finite, and nonnegative for R")
-    same_spectrum = _same_spectrum(family, which)
+    same_spectrum = _same_spectrum(family, which)[0]
     radii = np.full(ts.size, np.inf)
     step = _block_points(family.n)
     for lo in range(0, ts.size, step):
@@ -320,8 +311,8 @@ def stability_threshold(
             eps0=eps0,
         )
 
-    same_spectrum = _same_spectrum(family, which)
-    deflated = _deflate_e(family, same_spectrum.wb) if which == "P" else None
+    same_spectrum, basis = _same_spectrum(family, which)
+    deflated = _deflate_e(family, basis) if which == "P" else None
 
     def f(t: float) -> float:
         if deflated is not None:
@@ -454,7 +445,7 @@ def slope_check(family: OperatorFamily, which: str, h: float = 1e-5) -> SlopeChe
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    r = _rho_at(_same_spectrum(family, which), h)
+    r = _rho_at(_same_spectrum(family, which)[0], h)
     if math.isinf(r):
         raise SingularShiftError(f"I + tB is numerically singular at t = {h}")
     fd = (r - 1.0) / h

@@ -61,9 +61,14 @@ def test_P_threshold_matches_the_fourier_oracle(n, grid_step):
     assert abs(report.T_star - oracle_P(family)) <= 1e-14
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 5, 6])
-def test_R_threshold_matches_the_fourier_oracle(seed):
-    family = circulant_family(seed, 16)
+# A certificate block holds 128 scan points at n = 16 and 8 at n = 64.
+R_CASES = [pytest.param(16, seed, id=str(seed)) for seed in (1, 2, 3, 5, 6)]
+R_CASES += [pytest.param(64, seed, id=f"n64-{seed}") for seed in (1, 2, 3, 5, 6)]
+
+
+@pytest.mark.parametrize("n, seed", R_CASES)
+def test_R_threshold_matches_the_fourier_oracle(n, seed):
+    family = circulant_family(seed, n)
     report = stability_threshold(family, "R", scan_max=30.0, grid_step=30.0 / 4096, bisect_tol=1e-10)
     t_star = oracle_R(family)
     if seed == 5:  # crosses in neither method

@@ -10,8 +10,8 @@ from pnpstab.errors import SingularShiftError
 from pnpstab.matrices import is_positive_semidefinite, structure, validate_stochastic
 from pnpstab.operators import (
     P_of,
-    P_stack,
     R_of,
+    _P_affine,
     _R_schur,
     alpha_beta_B,
     build_deblur,
@@ -393,14 +393,17 @@ def test_make_family_rejects_reducible_w():
 
 
 def assert_builders_match_rebuild(family, ts):
-    """P_of is bitwise W (I - tB). R_of is I - W + LU-solve(I + tB, 2W - I) within
-    64 eps cond(I + tB), relative to its largest entry: R_of reads R(t) in B's Schur basis,
-    so the two differ by rounding. Measured: at most 4.4e-15 relative on the symmetric
-    families below, and 18 eps cond(I + tB) on 200 random non-symmetric B (n 2-8)."""
+    """P_of is bitwise W - t (WB), and its rho bitwise the one-point `rho_on_grid` value of P.
+    R_of is I - W + LU-solve(I + tB, 2W - I) within 64 eps cond(I + tB), relative to its
+    largest entry: R_of reads R(t) in B's Schur basis, so the two differ by rounding.
+    Measured: at most 4.4e-15 relative on the symmetric families below, and
+    18 eps cond(I + tB) on 200 random non-symmetric B (n 2-8)."""
     w, b, eye = family.W.matrix, family.B, np.eye(family.n)
     for t in ts:
         t = float(t)
-        assert np.array_equal(P_of(family, t), w @ (eye - t * b)), t
+        p = P_of(family, t)
+        assert np.array_equal(p, w - t * (w @ b)), t
+        assert rho(p) == stability.rho_on_grid(family, "P", [t])[0], t
         shift = eye + t * b
         try:
             got = R_of(family, t)
@@ -441,14 +444,14 @@ def test_builders_match_rebuild_on_non_symmetric_families(seed):
 
 
 def test_stacked_builders_equal_one_point_calls_slice_by_slice():
-    # P_stack's slices are P_of's, and each slice of R's Schur form, turned back by Q, is R_of's.
+    # _P_affine's slices are P_of's, and each slice of R's Schur form, turned back by Q, is R_of's.
     family = stability._imaging_instance(np.random.default_rng(5), 12)
     w, b = family.W.matrix, family.B
     ts = 2.0 / family.rho_B * np.arange(1, 301) / 301  # more points than one scan block
-    p = P_stack(w, b, ts)
+    p, p_ok = _P_affine(w, b)[0](ts)
     similar, q = _R_schur(w, b)
     r, ok = similar(ts)
-    assert p.shape == r.shape == (ts.size, 12, 12) and ok.all()
+    assert p.shape == r.shape == (ts.size, 12, 12) and p_ok.all() and ok.all()
     for k, t in enumerate(ts):
         assert np.array_equal(p[k], P_of(family, t)), t
         assert np.array_equal(q @ r[k] @ q.T, R_of(family, t)), t

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnpstab.matrices import validate_stochastic
-from pnpstab.operators import build_inpainting, gram, kernel_denoiser
+from pnpstab.operators import P_of, build_deblur, build_inpainting, build_superres, gram, kernel_denoiser, make_family
 from pnpstab.pnp import (
     InverseProblem,
     IterationTrace,
@@ -14,6 +14,7 @@ from pnpstab.pnp import (
     trace_to_csv,
 )
 from pnpstab.spectral import rho, solve
+from pnpstab.stability import rho_on_grid
 
 
 def _sqrt_psd(b):
@@ -121,6 +122,24 @@ def test_first_iterate_matches_gradient_then_denoise_form():
     p, c = affine_map(problem)
     np.testing.assert_allclose(p @ x0 + c, expected, atol=1e-12)
     assert trace.loss_values[1] == pytest.approx(0.5 * np.linalg.norm(a @ expected - problem.b) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("kind", ["inpainting", "deblur", "superres"])
+def test_affine_map_builds_the_P_of_matrix(kind, t):
+    # The iteration's P(t) is bitwise the matrix P_of builds, W - t WB with B = gram(A), so
+    # pnp's printed rho(P) reads the matrix that every rho of P in `stability` reads.
+    n = 12
+    rng = np.random.default_rng([3, n])
+    w = kernel_denoiser(rng.uniform(0.0, 1.0, size=n), bandwidth=0.5)
+    h = build_deblur(rng.uniform(0.05, 1.0, size=3), n)
+    op = {"inpainting": build_inpainting(np.arange(n) % 3 != 0), "deblur": h, "superres": build_superres(h, 2)}[kind]
+    problem = InverseProblem(A=op, b=op @ rng.uniform(0.0, 1.0, size=n), W=w, t=t)
+    family = make_family(problem.W, gram(problem.A))
+    p = affine_map(problem)[0]
+    assert np.array_equal(p, P_of(family, t))
+    assert np.array_equal(p, w.matrix - t * (w.matrix @ family.B))
+    assert rho(p) == rho_on_grid(family, "P", [t])[0]
 
 
 def test_loss_values_match_direct_evaluation():

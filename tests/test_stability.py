@@ -15,7 +15,6 @@ from pnpstab.generators import random_zero_rowsum
 from pnpstab.matrices import validate_stochastic
 from pnpstab.operators import (
     P_of,
-    P_stack,
     R_of,
     _R_schur,
     build_deblur,
@@ -327,18 +326,16 @@ def test_threshold_of_blur_profile_is_two():
 
 def deflation(family):
     """`_deflate_e` of a P threshold, from the product WB of its `_same_spectrum`."""
-    return stability._deflate_e(family, stability._same_spectrum(family, "P").wb)
+    return stability._deflate_e(family, stability._same_spectrum(family, "P")[1])
 
 
 def wrap_same_spectrum(monkeypatch, wrap):
-    """Make stability._same_spectrum return wrap(closure) in place of each closure, with P's `.wb`."""
+    """Make stability._same_spectrum return wrap(closure) in place of each closure, with its basis."""
     real = stability._same_spectrum
 
     def same_spectrum(family, which):
-        build = real(family, which)
-        wrapped = wrap(build)
-        wrapped.__dict__.update(build.__dict__)
-        return wrapped
+        build, basis = real(family, which)
+        return wrap(build), basis
 
     monkeypatch.setattr(stability, "_same_spectrum", same_spectrum)
 
@@ -541,22 +538,24 @@ def seeded_family(generator, seed, n_max):
 
 @pytest.mark.parametrize("generator", ["imaging", "general_psd"])
 def test_certified_slices_have_radius_below_the_certified_bound(generator):
-    # Each slice is certified twice: as P_stack/R_of build it, and in _same_spectrum's
-    # form (W - t WB for P, the similar matrix in B's eigenbasis for R).
+    # P_of and _same_spectrum read P as one matrix, W - t WB, so each P slice is certified once.
+    # Each R slice is certified twice: as R_of builds it, and in _same_spectrum's form, the
+    # similar matrix in B's eigenbasis. The counts of the built form are R's alone.
     # The first scan point eps0 = 1e-4 is in, where rho is within about 1e-4 of 1.
     certified = {"built": 0, "same_spectrum": 0}
     past_64 = {"built": 0, "same_spectrum": 0}
     for seed in range(30):
         family = seeded_family(generator, seed, 30)
         ts = np.concatenate([[1e-4], np.linspace(0.0, 6.0 / family.rho_B, 66)[1:-1]])
-        w, b = family.W.matrix, family.B
-        for which in ("P", "R"):
-            similar, similar_ok = stability._same_spectrum(family, which)(ts)
-            stack = P_stack(w, b, ts) if which == "P" else np.stack([R_of(family, t) for t in ts])
+        for which, build in (("P", P_of), ("R", R_of)):
+            similar, similar_ok = stability._same_spectrum(family, which)[0](ts)
+            stack = np.stack([build(family, t) for t in ts])
             assert similar_ok.all()  # B is positive semidefinite: no singular shift
+            assert which == "R" or np.array_equal(stack, similar)
             radii = rho_stack(stack)
             for t, m, e, r in zip(ts, stack, similar, radii):
-                for basis, cand in (("built", m), ("same_spectrum", e)):
+                forms = (("built", m), ("same_spectrum", e)) if which == "R" else (("same_spectrum", e),)
+                for basis, cand in forms:
                     if k := stability._certified_powers(cand[None])[0]:
                         certified[basis] += 1
                         past_64[basis] += k > 64
@@ -823,7 +822,7 @@ def test_p_threshold_of_remark_1_3_stays_unstable_from_start(monkeypatch):
 
 def same_spectrum_at(family, which, t):
     """The one-point case of _same_spectrum: its matrix at t, or None at a singular shift."""
-    m, ok = stability._same_spectrum(family, which)(np.array([t]))
+    m, ok = stability._same_spectrum(family, which)[0](np.array([t]))
     return m[0] if ok[0] else None
 
 
@@ -839,8 +838,10 @@ def test_eigenbasis_operator_is_similar_and_guarded():
         for t in (0.5, 1.9, 2.1, 17.9):
             p = same_spectrum_at(family, "P", t)
             assert np.array_equal(p, family.W.matrix - t * wb)  # one product, for any t
-            assert np.allclose(p, P_of(family, t), rtol=0, atol=1e-14)
-            want = np.sort_complex(np.linalg.eigvals(P_of(family, t)))
+            assert np.array_equal(p, P_of(family, t))  # the matrix P_of builds
+            factored = family.W.matrix @ (np.eye(2) - t * family.B)
+            assert np.allclose(p, factored, rtol=0, atol=1e-14)
+            want = np.sort_complex(np.linalg.eigvals(factored))
             assert np.allclose(np.sort_complex(np.linalg.eigvals(p)), want, rtol=0, atol=1e-12)
     eye = np.eye(2)
     for family in (indefinite, non_symmetric):
@@ -887,7 +888,7 @@ def test_same_spectrum_of_a_block_is_its_points_one_by_one(which, pair, ts):
     # other points of the block are.
     family = make_family(*pair)
     b = family.B
-    build = stability._same_spectrum(family, which)
+    build = stability._same_spectrum(family, which)[0]
     m, ok = build(np.array(ts))
     assert m.shape == (len(ts), family.n, family.n)
     for k, t in enumerate(ts):
